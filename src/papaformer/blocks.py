@@ -8,11 +8,12 @@ All functions operate on [B, T, d] activations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from papaformer.tensor import RngState, Tensor, concat
+from papaformer.tensor import RngState, Tensor, default_dtype
 
 RMSNORM_EPS = 1e-5
 ROPE_BASE = 10000.0
@@ -57,8 +58,8 @@ class LayerBlockParams:
             w_gate=proj(d, ff),
             w_up=proj(d, ff),
             w_down=proj(ff, d),
-            norm1_scale=Tensor(np.ones(d, dtype=np.float32), requires_grad=True),
-            norm2_scale=Tensor(np.ones(d, dtype=np.float32), requires_grad=True),
+            norm1_scale=Tensor(np.ones(d, dtype=default_dtype()), requires_grad=True),
+            norm2_scale=Tensor(np.ones(d, dtype=default_dtype()), requires_grad=True),
             heads=heads,
         )
 
@@ -86,16 +87,20 @@ def rope_tables(positions: np.ndarray, head_dim: int, base: float = ROPE_BASE):
 
 
 def rope(x: Tensor, positions: np.ndarray) -> Tensor:
-    """Rotate consecutive feature pairs of [.., T, heads, head_dim] by pos * theta_j."""
-    *_, heads, head_dim = x.shape
+    """Rotate consecutive feature pairs of [.., T, heads, head_dim] by pos * theta_j.
+
+    One tape node; its backward pass rotates the gradient pairs by -theta.
+    """
+    head_dim = x.shape[-1]
     cos, sin = rope_tables(positions, head_dim)
-    pairs = x.reshape(*x.shape[:-1], head_dim // 2, 2)
-    even = pairs[..., 0:1]
-    odd = pairs[..., 1:2]
-    rot_even = even * cos - odd * sin
-    rot_odd = even * sin + odd * cos
-    out = concat([rot_even, rot_odd], axis=-1)
-    return out.reshape(*x.shape)
+    pair_shape = (*x.shape[:-1], head_dim // 2, 2)
+
+    def rotate(arr: np.ndarray, sin: np.ndarray) -> np.ndarray:
+        pairs = arr.reshape(pair_shape)
+        even, odd = pairs[..., 0:1], pairs[..., 1:2]
+        return np.concatenate([even * cos - odd * sin, even * sin + odd * cos], axis=-1).reshape(x.shape)
+
+    return Tensor(rotate(x.data, sin), _parents=(x,), _backward=lambda g: ((x, rotate(g, -sin)),))
 
 
 def causal_mask(t: int) -> np.ndarray:
@@ -103,35 +108,67 @@ def causal_mask(t: int) -> np.ndarray:
     return np.triu(np.full((t, t), ATTN_MASK_VALUE, dtype=np.float32), k=1)
 
 
+def _causal_softmax(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """softmax(q k^T / sqrt(head_dim) + causal mask) for [B, heads, T, head_dim] arrays."""
+    t, head_dim = q.shape[-2:]
+    p = q @ np.swapaxes(k, -1, -2)
+    p *= 1.0 / math.sqrt(head_dim)
+    p += causal_mask(t)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Causal softmax(q k^T / sqrt(head_dim)) v of [B, T, heads, head_dim] inputs, as [B, T, d].
+
+    One tape node. It keeps the probabilities P [B, heads, T, T] for the
+    backward pass instead of recomputing them, the store side of the
+    trade-off analysed in FlashAttention (Dao et al. 2022).
+    """
+    b, t, heads, head_dim = q.shape
+    qh, kh, vh = (z.data.transpose(0, 2, 1, 3) for z in (q, k, v))
+    p = _causal_softmax(qh, kh)
+    out = (p @ vh).transpose(0, 2, 1, 3).reshape(b, t, heads * head_dim)
+
+    def bwd(g):
+        gh = g.reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
+        dv = np.swapaxes(p, -1, -2) @ gh
+        dp = gh @ np.swapaxes(vh, -1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        ds *= 1.0 / math.sqrt(head_dim)
+        dq = ds @ kh
+        dk = np.swapaxes(ds, -1, -2) @ qh
+        return tuple((z, dz.transpose(0, 2, 1, 3)) for z, dz in ((q, dq), (k, dk), (v, dv)))
+
+    return Tensor(out, _parents=(q, k, v), _backward=bwd)
+
+
+def _heads(x: Tensor, w: Tensor, heads: int, positions: np.ndarray | None = None) -> Tensor:
+    """x @ w split into [B, T, heads, head_dim], rotated when positions are given."""
+    b, t, _ = x.shape
+    h = (x @ w).reshape(b, t, heads, w.shape[1] // heads)
+    return h if positions is None else rope(h, positions)
+
+
 def causal_mha(x: Tensor, params: LayerBlockParams, max_seq_len: int | None = None) -> Tensor:
     """Scaled dot-product attention with a strict causal mask and RoPE on q, k."""
-    b, t, d = x.shape
+    t = x.shape[1]
     if max_seq_len is not None and t > max_seq_len:
         raise ConfigError(f"sequence length {t} exceeds max_seq_len {max_seq_len}")
-    heads = params.heads
-    head_dim = d // heads
     positions = np.arange(t)
-
-    q = rope((x @ params.wq).reshape(b, t, heads, head_dim), positions).transpose(0, 2, 1, 3)
-    k = rope((x @ params.wk).reshape(b, t, heads, head_dim), positions).transpose(0, 2, 1, 3)
-    v = (x @ params.wv).reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
-
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(head_dim))
-    att = (scores + causal_mask(t)).softmax(axis=-1)
-    ctx = (att @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
-    return ctx @ params.wo
+    q = _heads(x, params.wq, params.heads, positions)
+    k = _heads(x, params.wk, params.heads, positions)
+    v = _heads(x, params.wv, params.heads)
+    return causal_attention(q, k, v) @ params.wo
 
 
 def attention_weights(x: Tensor, params: LayerBlockParams) -> np.ndarray:
     """The post-softmax attention matrix [B, heads, T, T], for inspection only."""
-    b, t, d = x.shape
-    heads = params.heads
-    head_dim = d // heads
-    positions = np.arange(t)
-    q = rope((x @ params.wq).reshape(b, t, heads, head_dim), positions).transpose(0, 2, 1, 3)
-    k = rope((x @ params.wk).reshape(b, t, heads, head_dim), positions).transpose(0, 2, 1, 3)
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(head_dim))
-    return (scores + causal_mask(t)).softmax(axis=-1).data
+    positions = np.arange(x.shape[1])
+    q, k = (_heads(x, w, params.heads, positions).data.transpose(0, 2, 1, 3) for w in (params.wq, params.wk))
+    return _causal_softmax(q, k)
 
 
 def swiglu_ffn(x: Tensor, params: LayerBlockParams) -> Tensor:

@@ -135,6 +135,11 @@ def cmd_train(args) -> int:
     store = ChunkStore.load(args.data)
     cfg = train_config_from(raw, args.seed)
     model_cfg = model_config_from(raw, vocab_size=store.tokenizer.vocab_size)
+    if model_cfg.vocab_size < store.tokenizer.vocab_size:
+        raise ConfigError(
+            f"vocab_size: config has {model_cfg.vocab_size}, "
+            f"below the chunk store's vocab of {store.tokenizer.vocab_size}"
+        )
     chunks = store.select(**ROLES[args.role])
     if not chunks:
         raise DataError(f"role {args.role!r}: chunk store has no matching chunks")

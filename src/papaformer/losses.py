@@ -41,20 +41,31 @@ class LossBreakdown:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood with a stable log-sum-exp.
+    """Mean negative log-likelihood through a stable log-sum-exp.
 
     ``logits`` is [..., vocab]; ``targets`` holds ids over the leading axes.
+    One tape node; its backward pass is (softmax - onehot) / n.
     """
     targets = np.asarray(targets)
     vocab = logits.shape[-1]
     if targets.size and (targets.min() < 0 or targets.max() >= vocab):
         raise IndexError(f"target id out of range [0, {vocab})")
-    flat = logits.reshape(-1, vocab)
+    flat = logits.data.reshape(-1, vocab)
+    rows = np.arange(flat.shape[0])
     ids = targets.reshape(-1)
-    # log softmax via the stable softmax primitive
-    log_probs = (flat.softmax(axis=-1) + LOG_CLAMP).log()
-    picked = log_probs[np.arange(ids.size), ids]
-    return -picked.mean()
+    shifted = flat - flat.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    sums = e.sum(axis=-1, keepdims=True)
+    nll = np.log(sums[:, 0]) - shifted[rows, ids]
+    a = logits
+
+    def bwd(g):
+        grad = e / sums
+        grad[rows, ids] -= 1.0
+        grad *= g / ids.size
+        return ((a, grad.reshape(a.shape)),)
+
+    return Tensor(nll.mean(), _parents=(a,), _backward=bwd)
 
 
 def _entropy_of_rows(pi: Tensor) -> Tensor:
@@ -101,8 +112,7 @@ def total_loss(
             load = load + load_balance_loss(pi) * (1.0 / n)
         total = ce + ent * float(sign_entropy * lambda_entropy) + load * float(sign_load * lambda_load)
     else:
-        ent = Tensor(0.0)
-        load = Tensor(0.0)
+        ent = load = Tensor(np.zeros((), dtype=ce.data.dtype))
         total = ce
     return LossBreakdown(
         ce=ce,

@@ -21,7 +21,7 @@ from papaformer.parallel import (
     down_projection,
     parallel_layer_forward,
 )
-from papaformer.tensor import RngState, Tensor, embedding
+from papaformer.tensor import RngState, Tensor, default_dtype, embedding
 
 CONNECTION_KINDS = ("none", "share_linear", "gumbel_v1", "gumbel_v2")
 
@@ -163,7 +163,7 @@ def build(config: ModelConfig, rng: RngState) -> PaPaformerModel:
     blocks_after = [
         LayerBlockParams.init(c.d_model, c.heads_layer, c.ff_layer, rng) for _ in range(n_after)
     ]
-    final_norm_scale = Tensor(np.ones(c.d_model, dtype=np.float32), requires_grad=True)
+    final_norm_scale = Tensor(np.ones(c.d_model, dtype=default_dtype()), requires_grad=True)
     lm_head = Tensor(rng.normal((c.d_model, c.vocab_size), std=INIT_STD), requires_grad=True)
     return PaPaformerModel(
         config=c,

@@ -71,6 +71,12 @@ class GumbelParams:
 
     v1: w_combine (k*d') x d', w_router d' x (k+1)
     v2: w_router (k*d') x (k+1), w_combine (k*d') x d'
+
+    On the last parallel layer the output is the path concatenation, so only
+    pi is computed there. That layer's v2 ``w_combine`` never gets a
+    gradient; with both auxiliary loss weights at 0, pi does not affect the
+    loss and both of that layer's tensors (v1 or v2) get only zero gradients.
+    They are kept so parameter totals match the paper's.
     """
 
     variant: int
@@ -172,6 +178,22 @@ def _mixture(outputs: list, x_comb: Tensor, pi: Tensor) -> Tensor:
     return y + x_comb * pi[..., k : k + 1]
 
 
+def _gumbel_forward(outputs, params, variant, cfg, rng, training, forced_pi, final) -> tuple:
+    if params.variant != variant:
+        raise ConfigError(f"gumbel_v{variant}_forward called with non-v{variant} params")
+    cat = concat_paths(outputs)
+    # a final layer outputs the concatenation itself, so x_comb is needed there
+    # only as v1's router input
+    x_comb = cat @ params.w_combine if variant == 1 or not final else None
+    if forced_pi is None:
+        logits = (x_comb if variant == 1 else cat) @ params.w_router
+        pi = gumbel_softmax(logits, cfg, rng, training)
+    else:
+        pi = forced_pi
+    y = cat if final else _mixture(outputs, x_comb, pi)
+    return y, RoutingWeights(pi=pi)
+
+
 def gumbel_v1_forward(
     outputs: list,
     params: GumbelParams,
@@ -179,21 +201,16 @@ def gumbel_v1_forward(
     rng: RngState | None = None,
     training: bool = True,
     forced_pi: Tensor | None = None,
+    final: bool = False,
 ) -> tuple:
     """Routing from the combined representation.
 
     x_comb = W_combine [f_1;...;f_k]; router logits come from x_comb.
-    ``forced_pi`` bypasses the gate entirely (testing/analysis hook).
+    ``forced_pi`` bypasses the gate entirely (testing/analysis hook). With
+    ``final=True`` the output is [f_1;...;f_k] and the mixture is skipped;
+    pi is still computed and recorded.
     """
-    if params.variant != 1:
-        raise ConfigError("gumbel_v1_forward called with non-v1 params")
-    x_comb = concat_paths(outputs) @ params.w_combine
-    if forced_pi is None:
-        logits = x_comb @ params.w_router
-        pi = gumbel_softmax(logits, cfg, rng, training)
-    else:
-        pi = forced_pi
-    return _mixture(outputs, x_comb, pi), RoutingWeights(pi=pi)
+    return _gumbel_forward(outputs, params, 1, cfg, rng, training, forced_pi, final)
 
 
 def gumbel_v2_forward(
@@ -203,18 +220,14 @@ def gumbel_v2_forward(
     rng: RngState | None = None,
     training: bool = True,
     forced_pi: Tensor | None = None,
+    final: bool = False,
 ) -> tuple:
-    """Routing scored directly from the concatenated path outputs."""
-    if params.variant != 2:
-        raise ConfigError("gumbel_v2_forward called with non-v2 params")
-    cat = concat_paths(outputs)
-    x_comb = cat @ params.w_combine
-    if forced_pi is None:
-        logits = cat @ params.w_router
-        pi = gumbel_softmax(logits, cfg, rng, training)
-    else:
-        pi = forced_pi
-    return _mixture(outputs, x_comb, pi), RoutingWeights(pi=pi)
+    """Routing scored directly from the concatenated path outputs.
+
+    With ``final=True`` the output is [f_1;...;f_k]; neither the mixture nor
+    x_comb is built, and pi is still computed and recorded.
+    """
+    return _gumbel_forward(outputs, params, 2, cfg, rng, training, forced_pi, final)
 
 
 @dataclass
@@ -242,8 +255,9 @@ def parallel_layer_forward(
 
     Inter-layer output stays at width d'. With ``final=True`` the fusion
     restores the full width d: share_linear applies its expanding map, the
-    Gumbel variants concatenate the k path outputs (k*d' = d). Gumbel routing
-    weights are computed and recorded at every layer either way.
+    Gumbel variants concatenate the k path outputs (k*d' = d) and skip their
+    mixture. Gumbel routing weights are computed and recorded at every layer
+    either way, for the auxiliary losses and routing traces.
     """
     outputs = run_paths(x, params.paths, max_seq_len, dropout=dropout, rng=rng if dropout > 0 else None)
     if kind == "share_linear":
@@ -252,12 +266,10 @@ def parallel_layer_forward(
         record = DominanceRecord(path_outputs=outputs, combined=y, layer_index=layer_index)
         return y, record
     if kind == "gumbel_v1":
-        y, record = gumbel_v1_forward(outputs, params.connection, cfg, rng, training)
+        y, record = gumbel_v1_forward(outputs, params.connection, cfg, rng, training, final=final)
     elif kind == "gumbel_v2":
-        y, record = gumbel_v2_forward(outputs, params.connection, cfg, rng, training)
+        y, record = gumbel_v2_forward(outputs, params.connection, cfg, rng, training, final=final)
     else:
         raise ConfigError(f"unknown connection kind {kind!r}")
     record.layer_index = layer_index
-    if final:
-        y = concat_paths(outputs)
     return y, record

@@ -3,8 +3,15 @@
 Every operation records a backward closure on a tape (the implicit graph of
 parent links). Calling ``backward()`` on a scalar loss walks the graph in
 reverse topological order and accumulates gradients into every leaf that has
-``requires_grad`` set. Arrays are float32 by default; ``set_default_dtype``
-switches the whole stack to float64 for tighter gradient checking.
+``requires_grad`` set.
+
+The tape computes in the dtype of its operands. Parameters and random draws
+are created in the default dtype, float32; ``set_default_dtype`` switches
+them to float64 for tighter gradient checking. A non-Tensor operand that is
+a scalar or a 0-d array is weak: it takes the dtype of the Tensor it meets,
+so constants never promote a float32 graph. Array operands and Tensors keep
+NumPy's promotion rules, so a float64 input still lifts a float32 graph to
+float64 (the finite-difference oracles rely on this).
 """
 
 from __future__ import annotations
@@ -40,6 +47,24 @@ def _as_array(data) -> np.ndarray:
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(_default_dtype)
     return arr
+
+
+def _constant(value, like: np.ndarray) -> np.ndarray:
+    """A non-Tensor operand as an array; scalars and 0-d arrays take ``like``'s dtype."""
+    arr = _as_array(value)
+    return arr.astype(like.dtype, copy=False) if arr.ndim == 0 else arr
+
+
+def _is_basic(key) -> bool:
+    """True when ``key`` holds only ints, slices, ``...`` and ``None``: no element repeats."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(
+        k is None
+        or k is Ellipsis
+        or isinstance(k, slice)
+        or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+        for k in parts
+    )
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -142,14 +167,16 @@ class Tensor:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data + other.data
-        a, b = self, other
+        a = self
+        if not isinstance(other, Tensor):
+            out_data = a.data + _constant(other, a.data)
+            return Tensor(out_data, _parents=(a,), _backward=lambda g: ((a, _unbroadcast(g, a.shape)),))
+        b = other
 
         def bwd(g):
             return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
 
-        return Tensor(out_data, _parents=(a, b), _backward=bwd)
+        return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
 
     __radd__ = __add__
 
@@ -158,15 +185,19 @@ class Tensor:
         return Tensor(-a.data, _parents=(a,), _backward=lambda g: ((a, -g),))
 
     def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        if not isinstance(other, Tensor):
+            return self + (-_constant(other, self.data))
         return self + (-other)
 
     def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) + (-self)
+        return (-self) + other
 
     def __mul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        a, b = self, other
+        a = self
+        if not isinstance(other, Tensor):
+            c = _constant(other, a.data)
+            return Tensor(a.data * c, _parents=(a,), _backward=lambda g: ((a, _unbroadcast(g * c, a.shape)),))
+        b = other
 
         def bwd(g):
             return (
@@ -179,8 +210,11 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        a, b = self, other
+        a = self
+        if not isinstance(other, Tensor):
+            c = _constant(other, a.data)
+            return Tensor(a.data / c, _parents=(a,), _backward=lambda g: ((a, _unbroadcast(g / c, a.shape)),))
+        b = other
 
         def bwd(g):
             return (
@@ -260,7 +294,7 @@ class Tensor:
 
     def maximum(self, other) -> "Tensor":
         """Elementwise max; ties send the full gradient to self."""
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = other if isinstance(other, Tensor) else Tensor(_constant(other, self.data))
         a, b = self, other
         take_a = a.data >= b.data
         out_data = np.where(take_a, a.data, b.data)
@@ -321,11 +355,16 @@ class Tensor:
         )
 
     def __getitem__(self, key) -> "Tensor":
+        """Indexing; basic keys backpropagate by assignment, advanced keys by scatter-add."""
         a = self
+        basic = _is_basic(key)
 
         def bwd(g):
             full = np.zeros_like(a.data)
-            np.add.at(full, key, g)
+            if basic:
+                full[key] = g
+            else:
+                np.add.at(full, key, g)  # advanced indices may repeat
             return ((a, full),)
 
         return Tensor(a.data[key], _parents=(a,), _backward=bwd)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from papaformer import blocks
+from papaformer import tensor as T
 from papaformer.blocks import LayerBlockParams, causal_mha, layer_block, rmsnorm, rope, swiglu_ffn
 from papaformer.tensor import RngState, Tensor
 
@@ -109,6 +112,47 @@ class TestCausalMha:
         p = make_params()
         with pytest.raises(blocks.ConfigError):
             causal_mha(Tensor(np.zeros((1, 9, 8))), p, max_seq_len=8)
+
+    def test_matches_per_row_loop_reference(self):
+        p = make_params()
+        x = Tensor(np.random.default_rng(14).random((2, 5, 8)).astype(np.float32))
+        pos = np.arange(5)
+        q = rope((x @ p.wq).reshape(2, 5, 2, 4), pos).data.astype(np.float64)
+        k = rope((x @ p.wk).reshape(2, 5, 2, 4), pos).data.astype(np.float64)
+        v = (x @ p.wv).data.reshape(2, 5, 2, 4).astype(np.float64)
+        ctx = np.zeros((2, 5, 2, 4))
+        att = np.zeros((2, 2, 5, 5))
+        for b in range(2):
+            for h in range(2):
+                for i in range(5):
+                    s = np.array([q[b, i, h] @ k[b, j, h] / 2.0 for j in range(i + 1)])
+                    w = np.exp(s - s.max()) / np.exp(s - s.max()).sum()
+                    att[b, h, i, : i + 1] = w
+                    ctx[b, i, h] = w @ v[b, : i + 1, h]
+        ref = ctx.reshape(2, 5, 8) @ p.wo.data.astype(np.float64)
+        np.testing.assert_allclose(causal_mha(x, p).data, ref, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(blocks.attention_weights(x, p), att, atol=1e-6)
+
+    @pytest.mark.parametrize("wrt", ["x", "wq", "wk", "wv"])
+    def test_grad_float64(self, wrt):
+        T.set_default_dtype(np.float64)
+        try:
+            p = make_params(seed=2)
+            rng = np.random.default_rng(15)
+            x0 = rng.random((2, 4, 8)) * 2 - 1
+            probe = Tensor(rng.normal(size=(2, 4, 8)))
+            if wrt == "x":
+                check_grad(lambda x: (causal_mha(x, p) * probe).sum(), x0, h=1e-5, tol=1e-6)
+            else:
+                x = Tensor(x0)
+                check_grad(
+                    lambda w: (causal_mha(x, replace(p, **{wrt: w})) * probe).sum(),
+                    getattr(p, wrt).data * 10,
+                    h=1e-5,
+                    tol=1e-6,
+                )
+        finally:
+            T.set_default_dtype(np.float32)
 
 
 class TestSwiglu:

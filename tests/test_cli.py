@@ -1,6 +1,7 @@
 import pytest
 
 from papaformer.cli import EXIT_COMPOSITION, EXIT_CONFIG, EXIT_DATA, load_config, main, train_config_from
+from papaformer.data import ChunkStore
 
 TINY_MODEL = """
 model:
@@ -96,6 +97,18 @@ class TestTrain:
             "--role", "path2", "--seed", "11", "--out", str(workdir / "path2.ppck"),
         ])
         assert rc == 0
+
+    def test_config_vocab_below_store_vocab(self, workdir, capsys):
+        small = workdir / "small_vocab.yaml"
+        small.write_text(TINY_PATH.replace("model:\n", "model:\n  vocab_size: 10\n"))
+        rc = main(["train", "--config", str(small), "--data", str(workdir / "store.ppch"), "--role", "path1",
+                   "--out", str(workdir / "small.ppck")])
+        assert rc == EXIT_CONFIG
+        store_vocab = ChunkStore.load(str(workdir / "store.ppch")).tokenizer.vocab_size
+        assert store_vocab > 10
+        err = capsys.readouterr().err
+        assert "has 10," in err and f"vocab of {store_vocab}" in err
+        assert not (workdir / "small.ppck").exists()
 
     def test_missing_config(self, workdir, capsys):
         rc = main(["train", "--config", "nope", "--data", str(workdir / "store.ppch"), "--out", str(workdir / "x.ppck")])

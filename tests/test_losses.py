@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from papaformer.losses import cross_entropy, entropy_loss, load_balance_loss, total_loss
 from papaformer.parallel import RoutingWeights
+from papaformer import tensor as T
 from papaformer.tensor import Tensor
 
 from fdcheck import check_grad
@@ -45,6 +46,24 @@ class TestCrossEntropy:
         rng = np.random.default_rng(1)
         targets = rng.integers(0, 6, size=4)
         check_grad(lambda x: cross_entropy(x, targets), rng.normal(size=(4, 6)))
+
+    def test_grad_on_sharply_peaked_rows_float64(self):
+        # the target's probability is ~1e-17, where log(p + 1e-12) had a biased slope
+        T.set_default_dtype(np.float64)
+        try:
+            logits = np.array([[40.0, 0.0, 1.0, -2.0], [0.5, -1.0, 35.0, 0.0]])
+            targets = np.array([3, 1])
+            check_grad(lambda x: cross_entropy(x, targets), logits, h=1e-5, tol=1e-6)
+            x = Tensor(logits, requires_grad=True)
+            ce = cross_entropy(x, targets)
+            ce.backward()
+            lse = logits.max(axis=-1) + np.log(np.exp(logits - logits.max(axis=-1, keepdims=True)).sum(axis=-1))
+            np.testing.assert_allclose(float(ce.data), np.mean(lse - logits[[0, 1], targets]), rtol=1e-12)
+            expect = np.exp(logits - lse[:, None])
+            expect[[0, 1], targets] -= 1.0
+            np.testing.assert_allclose(x.grad, expect / 2, atol=1e-15)
+        finally:
+            T.set_default_dtype(np.float32)
 
     def test_batched_3d(self):
         rng = np.random.default_rng(2)

@@ -315,6 +315,20 @@ class TestParallelLayerForward:
         np.testing.assert_allclose(y.data, concat_paths(outs).data, atol=1e-6)
         assert rec.pi.shape == (1, 3, K + 1)
 
+    @pytest.mark.parametrize("kind", ["gumbel_v1", "gumbel_v2"])
+    def test_final_layer_skips_mixture_but_keeps_pi(self, kind):
+        x = Tensor(np.random.default_rng(20).random((2, 3, D_PATH)).astype(np.float32))
+        layer = self.make_layer(kind)
+        y, rec = parallel_layer_forward(x, layer, kind, GumbelConfig(), rng=RngState(5), training=True, final=True)
+        mixed, inner = parallel_layer_forward(x, layer, kind, GumbelConfig(), rng=RngState(5), training=True)
+        np.testing.assert_array_equal(y.data, concat_paths(run_paths(x, layer.paths)).data)
+        np.testing.assert_array_equal(rec.pi.data, inner.pi.data)
+        assert not np.allclose(mixed.data, y.data[..., :D_PATH])
+        # with the mixture gone, the final v2 combine weight is off the tape
+        (y * y).sum().backward()
+        rec.pi.sum().backward()
+        assert (layer.connection.w_combine.grad is None) == (kind == "gumbel_v2")
+
     def test_parameter_count_matches_closed_form(self):
         # k=2, d'=128, d=256 with the preset path dims: heads 4, ff 512
         k, dp, ff = 2, 128, 512

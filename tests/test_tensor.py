@@ -172,6 +172,26 @@ class TestShapeOps:
         check_grad(lambda x: (x.transpose(1, 0) * Tensor(w0.T)).sum(), w0)
         check_grad(lambda x: (x.reshape(2, 12) * Tensor(w0.reshape(2, 12))).sum(), w0)
 
+    def test_basic_slice_grad_is_placed_by_assignment(self):
+        x = Tensor(np.zeros((3, 4, 2), dtype=np.float32), requires_grad=True)
+        x[1, ..., None, 0:2:1, -1].sum().backward()
+        expect = np.zeros((3, 4, 2), dtype=np.float32)
+        expect[1, 0:2, -1] = 1.0
+        np.testing.assert_array_equal(x.grad, expect)
+
+    def test_repeated_fancy_index_grad_float64(self):
+        T.set_default_dtype(np.float64)
+        try:
+            rng = np.random.default_rng(10)
+            w0 = rng.normal(size=(5, 3))
+            idx = np.array([2, 0, 2, 2, 4])
+            # row 2 is picked three times, element (2, 1) twice
+            check_grad(lambda x: (x[idx] * Tensor(w0)).sum(), rng.normal(size=(6, 3)), h=1e-5, tol=1e-6)
+            cols = [1, 1, 0, 1, 2]
+            check_grad(lambda x: (x[idx, cols] * Tensor(w0[:, 0])).sum(), rng.normal(size=(6, 3)), h=1e-5, tol=1e-6)
+        finally:
+            T.set_default_dtype(np.float32)
+
 
 class TestEmbedding:
     def test_lookup(self):
