@@ -25,6 +25,12 @@ class ConfigError(ValueError):
     """A block or model hyperparameter violates its constraints."""
 
 
+def weight(shape: tuple, rng: RngState | None) -> Tensor:
+    """A trainable N(0, INIT_STD) leaf, or zeros when ``rng`` is None (a skeleton leaf)."""
+    data = np.zeros(shape, dtype=default_dtype()) if rng is None else rng.normal(shape, std=INIT_STD)
+    return Tensor(data, requires_grad=True)
+
+
 @dataclass
 class LayerBlockParams:
     """Weights of one decoder layer at width d with ff hidden size."""
@@ -41,23 +47,20 @@ class LayerBlockParams:
     heads: int
 
     @classmethod
-    def init(cls, d: int, heads: int, ff: int, rng: RngState) -> "LayerBlockParams":
+    def init(cls, d: int, heads: int, ff: int, rng: RngState | None) -> "LayerBlockParams":
+        """Random projections from ``rng``, or a zero skeleton when it is None."""
         if d % heads != 0:
             raise ConfigError(f"width {d} not divisible by {heads} heads")
         if (d // heads) % 2 != 0:
             raise ConfigError(f"head_dim {d // heads} must be even for rotary embeddings")
-
-        def proj(n_in, n_out):
-            return Tensor(rng.normal((n_in, n_out), std=INIT_STD), requires_grad=True)
-
         return cls(
-            wq=proj(d, d),
-            wk=proj(d, d),
-            wv=proj(d, d),
-            wo=proj(d, d),
-            w_gate=proj(d, ff),
-            w_up=proj(d, ff),
-            w_down=proj(ff, d),
+            wq=weight((d, d), rng),
+            wk=weight((d, d), rng),
+            wv=weight((d, d), rng),
+            wo=weight((d, d), rng),
+            w_gate=weight((d, ff), rng),
+            w_up=weight((d, ff), rng),
+            w_down=weight((ff, d), rng),
             norm1_scale=Tensor(np.ones(d, dtype=default_dtype()), requires_grad=True),
             norm2_scale=Tensor(np.ones(d, dtype=default_dtype()), requires_grad=True),
             heads=heads,

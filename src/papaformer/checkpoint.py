@@ -97,39 +97,35 @@ def save_checkpoint(
             f.write(b)
 
 
-def read_manifest(path: str) -> dict:
-    with open(path, "rb") as f:
-        head = f.read(struct.calcsize(_HEADER))
-        magic, version, mlen = struct.unpack(_HEADER, head)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint (bad magic {magic!r})")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        return json.loads(f.read(mlen).decode("utf-8"))
-
-
-def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as f:
-        raw = f.read()
-    magic, version, mlen = struct.unpack_from(_HEADER, raw, 0)
+def _read_manifest(f, path: str) -> dict:
+    """Unpack and check the header at ``f``'s position, then decode the JSON manifest after it."""
+    magic, version, mlen = struct.unpack(_HEADER, f.read(struct.calcsize(_HEADER)))
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic {magic!r})")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    base = struct.calcsize(_HEADER)
-    manifest = json.loads(raw[base : base + mlen].decode("utf-8"))
-    payload_base = base + mlen
-    config = ModelConfig.from_dict(manifest["model_config"])
-    model = build(config, RngState(0))
+    return json.loads(f.read(mlen).decode("utf-8"))
+
+
+def read_manifest(path: str) -> dict:
+    with open(path, "rb") as f:
+        return _read_manifest(f, path)
+
+
+def load_checkpoint(path: str) -> Checkpoint:
+    # unbuffered, so the payload is read into one bytes object rather than read,
+    # then joined to the reader's buffered bytes in a second payload-sized copy
+    with open(path, "rb", buffering=0) as f:
+        manifest = _read_manifest(f, path)
+        payload = f.read()
+    model = build(ModelConfig.from_dict(manifest["model_config"]), None)
     params = model.named_params()
     provenance = {}
     opt_tensors = {}
     seen = set()
     for e in manifest["tensors"]:
         n = int(np.prod(e["shape"])) if e["shape"] else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=payload_base + e["offset"]).reshape(
-            e["shape"]
-        )
+        arr = np.frombuffer(payload, dtype="<f4", count=n, offset=e["offset"]).reshape(e["shape"])
         name = e["name"]
         if name.startswith("opt."):
             opt_tensors[name[4:]] = arr.copy()
@@ -140,7 +136,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(
                 f"{path}: tensor {name!r} shape {e['shape']} != model shape {params[name].shape}"
             )
-        params[name].data = arr.astype(params[name].data.dtype).copy()
+        params[name].data = arr.astype(params[name].data.dtype)
         provenance[name] = e["provenance"]
         seen.add(name)
     missing = set(params) - seen

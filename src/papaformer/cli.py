@@ -31,7 +31,7 @@ from papaformer.analysis import (
 )
 from papaformer.blocks import ConfigError
 from papaformer.checkpoint import CheckpointError, load_checkpoint, read_manifest, save_checkpoint
-from papaformer.composer import CompositionError, CompositionPlan, compose, composition_provenance, validate_plan
+from papaformer.composer import CompositionError, CompositionPlan, compose, validate_plan
 from papaformer.data import (
     ChunkStore,
     DataError,
@@ -164,12 +164,10 @@ def cmd_compose(args) -> int:
     vocab = read_manifest(args.paths[0])["model_config"]["vocab_size"]
     target = model_config_from(raw, vocab_size=vocab)
     plan = CompositionPlan(path_checkpoints=list(args.paths), target_config=target)
-    report = validate_plan(plan)
-    if not report.ok:
-        raise CompositionError("; ".join(report.conflicts))
     seed = int(os.environ.get("PAPA_SEED", args.seed))
     model = compose(plan, RngState(seed))
-    provenance = composition_provenance(target)
+    report = validate_plan(plan)
+    provenance = {name: tag for name, tag, _ in report.entries}
     save_checkpoint(args.out, model, provenance=provenance)
     with open(args.out + ".provenance.json", "w", encoding="utf-8") as f:
         json.dump(provenance, f, indent=2, sort_keys=True)
@@ -235,7 +233,7 @@ def cmd_generate(args) -> int:
 def cmd_count_params(args) -> int:
     raw = load_config(args.config)
     cfg = model_config_from(raw)
-    total, breakdown = count_params(build(cfg, RngState(0)))
+    total, breakdown = count_params(build(cfg, None))
     for name in sorted(breakdown):
         print(f"{breakdown[name]:>12,}  {name}")
     print(f"{total:>12,}  total")

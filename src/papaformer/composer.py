@@ -19,8 +19,6 @@ from papaformer.checkpoint import load_checkpoint, read_manifest
 from papaformer.model import ModelConfig, PaPaformerModel, build
 from papaformer.tensor import RngState
 
-_PATH_BLOCK_NAMES = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down", "norm1_scale", "norm2_scale")
-
 
 class CompositionError(ValueError):
     """The plan or its source checkpoints cannot produce a valid composite."""
@@ -45,7 +43,7 @@ class ValidationReport:
 def composition_provenance(config: ModelConfig) -> dict:
     """Provenance tag per target parameter name for a freshly composed model."""
     tags = {}
-    for name in build(config, RngState(0)).named_params():
+    for name in build(config, None).named_params():
         if name in ("embed", "lm_head"):
             tags[name] = "concatenated"
         elif name.startswith("parallel") and ".path" in name and ".conn." not in name and ".final." not in name:
@@ -122,10 +120,8 @@ def compose(plan: CompositionPlan, rng: RngState) -> PaPaformerModel:
     model.embed.data = np.concatenate([p.embed.data for p in paths], axis=1)
     model.lm_head.data = np.concatenate([p.lm_head.data for p in paths], axis=0)
     for j, layer in enumerate(model.parallel_layers):
-        for i, src in enumerate(paths):
-            src_block = src.blocks_before[j]
-            dst_block = layer.paths[i]
-            for attr in _PATH_BLOCK_NAMES:
-                src_t = getattr(src_block, attr)
-                getattr(dst_block, attr).data = src_t.data.copy()
+        for dst_block, src in zip(layer.paths, paths):
+            src_params = src.blocks_before[j].named_params()
+            for name, t in dst_block.named_params().items():
+                t.data = src_params[name].data
     return model

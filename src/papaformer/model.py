@@ -12,13 +12,12 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from papaformer.blocks import ConfigError, INIT_STD, LayerBlockParams, layer_block, rmsnorm
+from papaformer.blocks import ConfigError, LayerBlockParams, layer_block, rmsnorm, weight
 from papaformer.parallel import (
     GumbelConfig,
     GumbelParams,
     ParallelLayerParams,
     ShareLinearParams,
-    down_projection,
     parallel_layer_forward,
 )
 from papaformer.tensor import RngState, Tensor, default_dtype, embedding
@@ -86,8 +85,7 @@ class ModelConfig:
         return self.n_layer_blocks - n_after, n_after
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -130,18 +128,24 @@ class PaPaformerModel:
             p.zero_grad()
 
 
-def build(config: ModelConfig, rng: RngState) -> PaPaformerModel:
-    """Initialize all parameters; deterministic under the rng's (seed, position)."""
+def build(config: ModelConfig, rng: RngState | None) -> PaPaformerModel:
+    """Initialize all parameters; deterministic under the rng's (seed, position).
+
+    With ``rng=None`` the result is the model's skeleton: the same parameter
+    names, order, shapes and dtypes, with zeros where a fresh build draws
+    random weights, and no draws made. Checkpoint loading fills a skeleton;
+    parameter counts and composition provenance only read its names and shapes.
+    """
     c = config
     n_before, n_after = c.split_blocks()
-    embed = Tensor(rng.normal((c.vocab_size, c.d_model), std=INIT_STD), requires_grad=True)
+    embed = weight((c.vocab_size, c.d_model), rng)
     blocks_before = [
         LayerBlockParams.init(c.d_model, c.heads_layer, c.ff_layer, rng) for _ in range(n_before)
     ]
     down_proj = None
     parallel_layers = []
     if c.connection_kind != "none":
-        down_proj = Tensor(rng.normal((c.d_model, c.d_path), std=INIT_STD), requires_grad=True)
+        down_proj = weight((c.d_model, c.d_path), rng)
         for i in range(c.n_parallel_layers):
             paths = [
                 LayerBlockParams.init(c.d_path, c.heads_path, c.ff_path, rng)
@@ -164,7 +168,7 @@ def build(config: ModelConfig, rng: RngState) -> PaPaformerModel:
         LayerBlockParams.init(c.d_model, c.heads_layer, c.ff_layer, rng) for _ in range(n_after)
     ]
     final_norm_scale = Tensor(np.ones(c.d_model, dtype=default_dtype()), requires_grad=True)
-    lm_head = Tensor(rng.normal((c.d_model, c.vocab_size), std=INIT_STD), requires_grad=True)
+    lm_head = weight((c.d_model, c.vocab_size), rng)
     return PaPaformerModel(
         config=c,
         embed=embed,
@@ -200,7 +204,7 @@ def forward(
         x = layer_block(x, b, c.max_seq_len)
     records = []
     if c.connection_kind != "none":
-        x = down_projection(x, model.down_proj)
+        x = x @ model.down_proj
         dropout = c.dropout_path if training else 0.0
         for i, layer in enumerate(model.parallel_layers):
             x, rec = parallel_layer_forward(

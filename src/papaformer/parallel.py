@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from papaformer.blocks import INIT_STD, ConfigError, layer_block
+from papaformer.blocks import ConfigError, layer_block, weight
 from papaformer.tensor import RngState, Tensor, concat, gumbel_noise
 
 
@@ -42,10 +42,6 @@ class RoutingWeights:
     pi: Tensor  # [B, T, k+1], rows on the simplex
     layer_index: int = 0
 
-    @property
-    def k_slots(self) -> int:
-        return self.pi.shape[-1]
-
     def selected(self) -> np.ndarray:
         """Argmax slot per token, 0..k-1 = path, k = combined. Ties: lowest index."""
         return np.argmax(self.pi.data, axis=-1)
@@ -58,8 +54,8 @@ class ShareLinearParams:
     w: Tensor
 
     @classmethod
-    def init(cls, k: int, d_path: int, d_out: int, rng: RngState) -> "ShareLinearParams":
-        return cls(w=Tensor(rng.normal((k * d_path, d_out), std=INIT_STD), requires_grad=True))
+    def init(cls, k: int, d_path: int, d_out: int, rng: RngState | None) -> "ShareLinearParams":
+        return cls(w=weight((k * d_path, d_out), rng))
 
     def named_params(self, prefix: str = "") -> dict:
         return {f"{prefix}w": self.w}
@@ -84,12 +80,12 @@ class GumbelParams:
     w_router: Tensor
 
     @classmethod
-    def init(cls, variant: int, k: int, d_path: int, rng: RngState) -> "GumbelParams":
+    def init(cls, variant: int, k: int, d_path: int, rng: RngState | None) -> "GumbelParams":
         if variant not in (1, 2):
             raise ConfigError(f"unknown gumbel variant {variant}")
-        w_combine = Tensor(rng.normal((k * d_path, d_path), std=INIT_STD), requires_grad=True)
+        w_combine = weight((k * d_path, d_path), rng)
         router_in = d_path if variant == 1 else k * d_path
-        w_router = Tensor(rng.normal((router_in, k + 1), std=INIT_STD), requires_grad=True)
+        w_router = weight((router_in, k + 1), rng)
         return cls(variant=variant, w_combine=w_combine, w_router=w_router)
 
     def named_params(self, prefix: str = "") -> dict:
@@ -115,11 +111,6 @@ class ParallelLayerParams:
         return out
 
 
-def down_projection(x: Tensor, w: Tensor) -> Tensor:
-    """Linear width reduction d -> d' between layer blocks and parallel layers."""
-    return x @ w
-
-
 def run_paths(
     x: Tensor,
     paths: list,
@@ -134,11 +125,6 @@ def run_paths(
 def concat_paths(outputs: list) -> Tensor:
     """Feature-axis concatenation in path order: [f_1 ; ... ; f_k]."""
     return concat(outputs, axis=-1)
-
-
-def share_linear_combine(outputs: list, w: Tensor) -> Tensor:
-    """y = W [f_1 ; ... ; f_k]."""
-    return concat_paths(outputs) @ w
 
 
 def gumbel_softmax(
@@ -262,7 +248,7 @@ def parallel_layer_forward(
     outputs = run_paths(x, params.paths, max_seq_len, dropout=dropout, rng=rng if dropout > 0 else None)
     if kind == "share_linear":
         w = params.final_share.w if final else params.connection.w
-        y = share_linear_combine(outputs, w)
+        y = concat_paths(outputs) @ w  # y = W [f_1 ; ... ; f_k]
         record = DominanceRecord(path_outputs=outputs, combined=y, layer_index=layer_index)
         return y, record
     if kind == "gumbel_v1":

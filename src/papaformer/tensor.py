@@ -475,8 +475,12 @@ class RngState:
 
 
 def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
-    """g = -log(-log(u)) with u clamped away from {0, 1}."""
-    u = np.clip(u, GUMBEL_EPS, 1.0 - GUMBEL_EPS)
+    """g = -log(-log(u)) with u clamped away from {0, 1}.
+
+    The upper bound is at least one ulp below 1 in u's dtype: 1 - GUMBEL_EPS
+    rounds to 1.0 in float32, which would give infinite noise.
+    """
+    u = np.clip(u, GUMBEL_EPS, 1.0 - max(GUMBEL_EPS, np.finfo(u.dtype).epsneg))
     return -np.log(-np.log(u))
 
 

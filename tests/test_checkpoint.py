@@ -11,6 +11,8 @@ from papaformer.checkpoint import (
     read_manifest,
     save_checkpoint,
 )
+from papaformer.cli import main
+from papaformer.composer import composition_provenance
 from papaformer.model import ModelConfig, build
 from papaformer.tensor import RngState
 
@@ -162,3 +164,32 @@ class TestErrors:
         rewrite_manifest(p, rename)
         with pytest.raises(CheckpointError, match="not present"):
             load_checkpoint(p)
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Any RngState draw fails the test."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("unexpected RngState draw")
+
+    for method in ("normal", "uniform", "integers", "permutation"):
+        monkeypatch.setattr(RngState, method, refuse)
+
+
+class TestNoThrowawayBuild:
+    def test_load_checkpoint_makes_no_draws(self, model, tmp_path, no_draws):
+        p = str(tmp_path / "m.ppck")
+        save_checkpoint(p, model)
+        loaded = load_checkpoint(p).model.named_params()
+        for name, t in model.named_params().items():
+            np.testing.assert_array_equal(loaded[name].data, t.data)
+            assert loaded[name].data.flags.writeable and loaded[name].data.flags.owndata
+
+    def test_composition_provenance_makes_no_draws(self, no_draws):
+        tags = composition_provenance(small_config())
+        assert list(tags) == list(build(small_config(), None).named_params())
+
+    def test_count_params_verb_makes_no_draws(self, no_draws, capsys):
+        assert main(["count-params", "--config", "parallel_gumbel_v1"]) == 0
+        assert "total" in capsys.readouterr().out

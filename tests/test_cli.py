@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from papaformer.checkpoint import read_manifest
 from papaformer.cli import EXIT_COMPOSITION, EXIT_CONFIG, EXIT_DATA, load_config, main, train_config_from
 from papaformer.data import ChunkStore
 
@@ -149,6 +152,12 @@ class TestCompose:
         assert rc == 0
         out = capsys.readouterr().out
         assert "next token predictions" in out and "%" in out
+
+    def test_provenance_file_matches_checkpoint(self, workdir):
+        provenance = json.loads((workdir / "composite.ppck.provenance.json").read_text())
+        manifest = read_manifest(str(workdir / "composite.ppck"))
+        assert provenance == {e["name"]: e["provenance"] for e in manifest["tensors"]}
+        assert set(provenance.values()) == {"concatenated", "reused", "fresh"}
 
     def test_finetune_from_composed_checkpoint(self, workdir, capsys):
         rc = main([

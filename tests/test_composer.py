@@ -141,6 +141,12 @@ class TestCompose:
         assert np.array_equal(model.down_proj.data, fresh.down_proj.data)
         assert np.array_equal(model.final_norm_scale.data, fresh.final_norm_scale.data)
 
+    def test_draws_exactly_one_target_build(self, plan):
+        rng, ref = RngState(11), RngState(11)
+        compose(plan, rng)
+        build(plan.target_config, ref)
+        assert rng.position == ref.position
+
     def test_invalid_plan_raises(self, path_ckpts):
         with pytest.raises(CompositionError, match="k_paths"):
             compose(CompositionPlan(path_ckpts[:1], target_config()), RngState(0))

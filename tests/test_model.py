@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import papaformer.tensor as T
 from papaformer.blocks import ConfigError
-from papaformer.model import ModelConfig, build, count_params, forward
+from papaformer.model import CONNECTION_KINDS, ModelConfig, build, count_params, forward
 from papaformer.tensor import RngState
 
 FULL_VOCAB = 50257
@@ -183,3 +186,54 @@ class TestCountParams:
     def test_breakdown_sums_to_total(self):
         total, breakdown = count_params(build(tiny_config("gumbel_v2"), RngState(0)))
         assert total == sum(breakdown.values())
+
+
+@pytest.fixture(params=[np.float32, np.float64], ids=["float32", "float64"])
+def each_default_dtype(request):
+    T.set_default_dtype(request.param)
+    try:
+        yield request.param
+    finally:
+        T.set_default_dtype(np.float32)
+
+
+class TestSkeleton:
+    @pytest.mark.parametrize("kind", CONNECTION_KINDS)
+    def test_same_layout_as_fresh_build_without_draws(self, kind, each_default_dtype, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("skeleton build drew from the rng")
+
+        cfg = tiny_config(kind)
+        monkeypatch.setattr(RngState, "normal", refuse)
+        skeleton = build(cfg, None).named_params()
+        monkeypatch.undo()
+        fresh = build(cfg, RngState(5)).named_params()
+        assert list(skeleton) == list(fresh)
+        for name, leaf in skeleton.items():
+            assert leaf.shape == fresh[name].shape
+            assert leaf.data.dtype == fresh[name].data.dtype == each_default_dtype
+            assert leaf.requires_grad
+            if "norm" in name:
+                # norm scales start at one in every build; they are not drawn
+                np.testing.assert_array_equal(leaf.data, fresh[name].data)
+            else:
+                assert not leaf.data.any(), name
+
+    @pytest.mark.parametrize(
+        "kind,position,digest",
+        [
+            ("none", 16, "37d09e74fac10ee6"),
+            ("share_linear", 47, "175bf55ba624e706"),
+            ("gumbel_v1", 49, "84a5792645611e8e"),
+            ("gumbel_v2", 49, "a65457dc5c271904"),
+        ],
+    )
+    def test_seeded_build_draws_are_pinned(self, kind, position, digest):
+        # seeded builds are bit-exact: a changed draw order or count changes the
+        # digest (so would a change to NumPy's PCG64 normal stream)
+        rng = RngState(0)
+        h = hashlib.sha256()
+        for name, t in build(tiny_config(kind), rng).named_params().items():
+            h.update(name.encode())
+            h.update(t.data.tobytes())
+        assert (rng.position, h.hexdigest()[:16]) == (position, digest)

@@ -10,13 +10,11 @@ from papaformer.parallel import (
     ParallelLayerParams,
     ShareLinearParams,
     concat_paths,
-    down_projection,
     gumbel_softmax,
     gumbel_v1_forward,
     gumbel_v2_forward,
     parallel_layer_forward,
     run_paths,
-    share_linear_combine,
 )
 from papaformer.tensor import RngState, Tensor, split
 
@@ -32,23 +30,6 @@ def path_params(seed=0, d=D_PATH, heads=2, ff=6):
 
 def rand_outputs(rng, k=K, b=1, t=3, d=D_PATH):
     return [Tensor((rng.random((b, t, d)) * 2 - 1).astype(np.float32)) for _ in range(k)]
-
-
-class TestDownProjection:
-    def test_selects_first_coordinate(self):
-        w = Tensor(np.array([[1.0], [0.0]]))
-        x = Tensor(np.array([[[2.0, 5.0], [3.0, 7.0]]]))
-        np.testing.assert_allclose(down_projection(x, w).data, [[[2.0], [3.0]]])
-
-    def test_paper_config_shapes(self):
-        w = Tensor(np.zeros((256, 128), dtype=np.float32))
-        x = Tensor(np.zeros((1, 2, 256), dtype=np.float32))
-        assert down_projection(x, w).shape == (1, 2, 128)
-
-    def test_grad(self):
-        rng = np.random.default_rng(0)
-        w = Tensor((rng.random((5, 3)) - 0.5).astype(np.float32))
-        check_grad(lambda x: (down_projection(x, w) * down_projection(x, w)).sum(), rng.random((2, 4, 5)))
 
 
 class TestRunPaths:
@@ -93,14 +74,14 @@ class TestShareLinear:
         rng = np.random.default_rng(4)
         outs = rand_outputs(rng)
         w = Tensor(np.vstack([np.eye(D_PATH), np.zeros((D_PATH, D_PATH))]).astype(np.float32))
-        np.testing.assert_allclose(share_linear_combine(outs, w).data, outs[0].data, atol=1e-6)
+        np.testing.assert_allclose((concat_paths(outs) @ w).data, outs[0].data, atol=1e-6)
 
     def test_mean_of_two_paths(self):
         rng = np.random.default_rng(5)
         outs = rand_outputs(rng)
         w = Tensor(0.5 * np.vstack([np.eye(D_PATH), np.eye(D_PATH)]).astype(np.float32))
         np.testing.assert_allclose(
-            share_linear_combine(outs, w).data, 0.5 * (outs[0].data + outs[1].data), atol=1e-6
+            (concat_paths(outs) @ w).data, 0.5 * (outs[0].data + outs[1].data), atol=1e-6
         )
 
     def test_grad_through_both_paths(self):
@@ -109,7 +90,7 @@ class TestShareLinear:
         o2 = rand_outputs(rng)[1]
 
         def loss(x):
-            y = share_linear_combine([x, x * 2.0 + o2], w)
+            y = concat_paths([x, x * 2.0 + o2]) @ w
             return (y * y).sum()
 
         check_grad(loss, rng.random((1, 3, D_PATH)))

@@ -120,6 +120,12 @@ class TestGumbel:
     def test_fixed_point(self):
         assert abs(gumbel_from_uniform(np.array(np.exp(-1.0)))) < 1e-6
 
+    def test_float32_one_gives_finite_noise(self):
+        # 1 - 1e-9 rounds to 1.0 in float32, so the clip must stay an ulp below 1
+        g = gumbel_from_uniform(np.float32([1.0, 1 - 2**-26, 1 - 2**-24]))
+        assert g.dtype == np.float32
+        assert np.isfinite(g).all()
+
     def test_sample_mean_is_euler_mascheroni(self):
         g = gumbel_noise((100_000,), RngState(7)).data
         assert abs(g.mean() - 0.5772156649) < 0.02
