@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from papaformer.blocks import KVCache
 from papaformer.model import PaPaformerModel, forward
 from papaformer.tensor import RngState
 
@@ -23,7 +24,15 @@ COMBINED = "combined"
 
 
 class AnalysisError(ValueError):
-    """Analysis invoked on a model kind it does not apply to."""
+    """Analysis invoked on a model kind or a prompt it does not apply to."""
+
+
+def _prompt_array(prompt_tokens) -> np.ndarray:
+    """The prompt as a flat id array; an empty prompt has no position to run."""
+    tokens = np.asarray(prompt_tokens).reshape(-1)
+    if tokens.size == 0:
+        raise AnalysisError("empty prompt: it tokenizes to no tokens")
+    return tokens
 
 
 def _selection_label(index: int, k: int) -> str:
@@ -70,8 +79,10 @@ def trace_routing(model: PaPaformerModel, prompt_tokens: np.ndarray, position: i
         raise AnalysisError(
             f"routing traces need a Gumbel model, got {kind!r}; use trace_dominance for share_linear"
         )
-    tokens = np.asarray(prompt_tokens).reshape(-1)
+    tokens = _prompt_array(prompt_tokens)
     pos = len(tokens) - 1 if position is None else position
+    if not 0 <= pos < len(tokens):
+        raise AnalysisError(f"probe position {pos} is outside the {len(tokens)}-token prompt")
     _, records = forward(model, tokens[None, :], rng=None, training=False)
     pis = [rec.pi.data[0, pos].copy() for rec in records]
     selections = [int(np.argmax(pi)) for pi in pis]  # np.argmax breaks ties at the lowest index
@@ -101,7 +112,7 @@ def trace_dominance(model: PaPaformerModel, prompt_tokens: np.ndarray) -> Domina
         raise AnalysisError(
             f"dominance traces need a share_linear model, got {model.config.connection_kind!r}"
         )
-    tokens = np.asarray(prompt_tokens).reshape(-1)
+    tokens = _prompt_array(prompt_tokens)
     _, records = forward(model, tokens[None, :], rng=None, training=False)
     d_path = model.config.d_path
     dominant, cosines = [], []
@@ -205,23 +216,28 @@ def generate(
 ) -> GenerationResult:
     """Greedy or temperature sampling with per-step top-n probabilities.
 
-    Zero temperature falls back to greedy. Contexts longer than max_seq_len
-    are truncated from the left with a warning, keeping the most recent
-    tokens visible to the model.
+    Zero temperature falls back to greedy. The prompt runs through the model
+    once, filling a K/V cache; each later step runs only the token just
+    picked. Contexts longer than max_seq_len are truncated from the left with
+    a warning, keeping the most recent tokens visible to the model; since that
+    shifts every position, each such step drops the cache and runs the whole
+    window.
     """
     if mode not in ("greedy", "sample"):
         raise AnalysisError(f"unknown generation mode {mode!r}")
     if mode == "sample" and temperature > 0 and rng is None:
         raise AnalysisError("temperature sampling needs an rng")
-    tokens = list(np.asarray(prompt_tokens).reshape(-1))
+    tokens = list(_prompt_array(prompt_tokens))
     limit = model.config.max_seq_len
+    cache = KVCache()
     result = GenerationResult(tokens=None, new_tokens=[])
     for _ in range(max_new_tokens):
-        context = tokens
-        if len(context) > limit:
-            warnings.warn(f"context of {len(context)} tokens truncated to the last {limit}")
-            context = context[-limit:]
-        logits, _ = forward(model, np.asarray(context, dtype=np.int64), rng=None, training=False)
+        if len(tokens) > limit:
+            warnings.warn(f"context of {len(tokens)} tokens truncated to the last {limit}")
+            cache, fresh = None, tokens[-limit:]
+        else:
+            fresh = tokens[cache.length :]
+        logits, _ = forward(model, np.asarray(fresh, dtype=np.int64), rng=None, training=False, cache=cache)
         probs = _softmax(logits.data[-1])
         order = np.argsort(-probs)
         if mode == "greedy" or temperature <= 0:

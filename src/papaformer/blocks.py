@@ -106,32 +106,44 @@ def rope(x: Tensor, positions: np.ndarray) -> Tensor:
     return Tensor(rotate(x.data, sin), _parents=(x,), _backward=lambda g: ((x, rotate(g, -sin)),))
 
 
-def causal_mask(t: int) -> np.ndarray:
-    """[T, T] additive mask: 0 on/below the diagonal, large negative above."""
-    return np.triu(np.full((t, t), ATTN_MASK_VALUE, dtype=np.float32), k=1)
+def causal_mask(t: int, s: int) -> np.ndarray:
+    """[T, S] additive mask for T queries at the last T of S positions.
+
+    0 where a key's position is at or before the query's, large negative after it.
+    """
+    return np.triu(np.full((t, s), ATTN_MASK_VALUE, dtype=np.float32), k=s - t + 1)
 
 
 def _causal_softmax(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """softmax(q k^T / sqrt(head_dim) + causal mask) for [B, heads, T, head_dim] arrays."""
+    """softmax(q k^T / sqrt(head_dim) + causal mask) for q [B, heads, T, head_dim], k [B, heads, S, head_dim].
+
+    The T queries sit at the last T of the S key positions.
+    """
     t, head_dim = q.shape[-2:]
     p = q @ np.swapaxes(k, -1, -2)
     p *= 1.0 / math.sqrt(head_dim)
-    p += causal_mask(t)
+    p += causal_mask(t, k.shape[-2])
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     return p
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, kv: tuple | None = None) -> Tensor:
     """Causal softmax(q k^T / sqrt(head_dim)) v of [B, T, heads, head_dim] inputs, as [B, T, d].
 
-    One tape node. It keeps the probabilities P [B, heads, T, T] for the
+    One tape node. It keeps the probabilities P [B, heads, T, S] for the
     backward pass instead of recomputing them, the store side of the
     trade-off analysed in FlashAttention (Dao et al. 2022).
+
+    With a K/V cache, ``kv`` holds the keys and values of all S positions as
+    head-major [B, heads, S, head_dim] arrays, of which ``k`` and ``v`` are the
+    last T; the queries sit at those T positions and gradients reach only the
+    new ``k`` and ``v``.
     """
     b, t, heads, head_dim = q.shape
-    qh, kh, vh = (z.data.transpose(0, 2, 1, 3) for z in (q, k, v))
+    qh = q.data.transpose(0, 2, 1, 3)
+    kh, vh = kv if kv is not None else (z.data.transpose(0, 2, 1, 3) for z in (k, v))
     p = _causal_softmax(qh, kh)
     out = (p @ vh).transpose(0, 2, 1, 3).reshape(b, t, heads * head_dim)
 
@@ -143,9 +155,41 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         ds *= 1.0 / math.sqrt(head_dim)
         dq = ds @ kh
         dk = np.swapaxes(ds, -1, -2) @ qh
-        return tuple((z, dz.transpose(0, 2, 1, 3)) for z, dz in ((q, dq), (k, dk), (v, dv)))
+        grads = ((q, dq), (k, dk[..., -t:, :]), (v, dv[..., -t:, :]))
+        return tuple((z, dz.transpose(0, 2, 1, 3)) for z, dz in grads)
 
     return Tensor(out, _parents=(q, k, v), _backward=bwd)
+
+
+class KVCache:
+    """Rotated keys and values of the positions already run, per attention block.
+
+    ``generate`` creates one per continuation and passes it down the forward
+    path, so each step runs only its new tokens. Slots are keyed by the
+    block's ``LayerBlockParams`` object; every block of a model is its own.
+    """
+
+    def __init__(self):
+        self._kv = {}  # id(LayerBlockParams) -> (keys, values), each [B, heads, S, head_dim]
+
+    def start(self, params: LayerBlockParams) -> int:
+        """Positions already cached for this block: the position of its next token."""
+        kv = self._kv.get(id(params))
+        return 0 if kv is None else kv[0].shape[2]
+
+    @property
+    def length(self) -> int:
+        """Positions cached so far; after a forward, every block holds this many."""
+        return max((k.shape[2] for k, _ in self._kv.values()), default=0)
+
+    def extend(self, params: LayerBlockParams, k: np.ndarray, v: np.ndarray) -> tuple:
+        """Append new [B, T, heads, head_dim] keys and values; return all of them head-major."""
+        kv = tuple(z.transpose(0, 2, 1, 3) for z in (k, v))
+        old = self._kv.get(id(params))
+        if old is not None:
+            kv = tuple(np.concatenate((a, z), axis=2) for a, z in zip(old, kv))
+        self._kv[id(params)] = kv
+        return kv
 
 
 def _heads(x: Tensor, w: Tensor, heads: int, positions: np.ndarray | None = None) -> Tensor:
@@ -155,23 +199,25 @@ def _heads(x: Tensor, w: Tensor, heads: int, positions: np.ndarray | None = None
     return h if positions is None else rope(h, positions)
 
 
-def causal_mha(x: Tensor, params: LayerBlockParams, max_seq_len: int | None = None) -> Tensor:
-    """Scaled dot-product attention with a strict causal mask and RoPE on q, k."""
+def causal_mha(
+    x: Tensor, params: LayerBlockParams, max_seq_len: int | None = None, cache: KVCache | None = None
+) -> Tensor:
+    """Scaled dot-product attention with a strict causal mask and RoPE on q, k.
+
+    With a ``cache``, x holds the positions after those already cached: q and k
+    are rotated at their absolute positions, k and v are appended to the cache,
+    and the queries attend over every cached key.
+    """
     t = x.shape[1]
-    if max_seq_len is not None and t > max_seq_len:
-        raise ConfigError(f"sequence length {t} exceeds max_seq_len {max_seq_len}")
-    positions = np.arange(t)
+    start = 0 if cache is None else cache.start(params)
+    if max_seq_len is not None and start + t > max_seq_len:
+        raise ConfigError(f"sequence length {start + t} exceeds max_seq_len {max_seq_len}")
+    positions = start + np.arange(t)
     q = _heads(x, params.wq, params.heads, positions)
     k = _heads(x, params.wk, params.heads, positions)
     v = _heads(x, params.wv, params.heads)
-    return causal_attention(q, k, v) @ params.wo
-
-
-def attention_weights(x: Tensor, params: LayerBlockParams) -> np.ndarray:
-    """The post-softmax attention matrix [B, heads, T, T], for inspection only."""
-    positions = np.arange(x.shape[1])
-    q, k = (_heads(x, w, params.heads, positions).data.transpose(0, 2, 1, 3) for w in (params.wq, params.wk))
-    return _causal_softmax(q, k)
+    kv = None if cache is None else cache.extend(params, k.data, v.data)
+    return causal_attention(q, k, v, kv) @ params.wo
 
 
 def swiglu_ffn(x: Tensor, params: LayerBlockParams) -> Tensor:
@@ -185,13 +231,15 @@ def layer_block(
     max_seq_len: int | None = None,
     dropout: float = 0.0,
     rng: RngState | None = None,
+    cache: KVCache | None = None,
 ) -> Tensor:
     """Pre-norm residual layer: x + mha(norm(x)), then h + ffn(norm(h)).
 
     ``dropout`` masks the FFN output (inverted dropout); it is only used for
-    parallel-path blocks and requires an rng when nonzero.
+    parallel-path blocks and requires an rng when nonzero. ``cache`` is passed
+    to ``causal_mha``.
     """
-    h = x + causal_mha(rmsnorm(x, params.norm1_scale), params, max_seq_len)
+    h = x + causal_mha(rmsnorm(x, params.norm1_scale), params, max_seq_len, cache)
     f = swiglu_ffn(rmsnorm(h, params.norm2_scale), params)
     if dropout > 0.0:
         if rng is None:

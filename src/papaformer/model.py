@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from papaformer.blocks import ConfigError, LayerBlockParams, layer_block, rmsnorm, weight
+from papaformer.blocks import ConfigError, KVCache, LayerBlockParams, layer_block, rmsnorm, weight
 from papaformer.parallel import (
     GumbelConfig,
     GumbelParams,
@@ -186,22 +186,28 @@ def forward(
     tokens: np.ndarray,
     rng: RngState | None = None,
     training: bool = False,
+    cache: KVCache | None = None,
 ) -> tuple:
     """Next-token logits for a [T] or [B, T] id array, plus routing records.
 
     Training mode draws Gumbel noise (and dropout masks, when configured)
     from ``rng``; evaluation without an rng uses deterministic routing.
+    With a ``cache``, the tokens continue the ``cache.length`` positions
+    already run through it, and logits and records cover the new tokens only;
+    every other layer acts on each position alone, so only attention needs
+    the cache.
     """
     c = model.config
     tokens = np.asarray(tokens)
     squeeze = tokens.ndim == 1
     if squeeze:
         tokens = tokens[None, :]
-    if tokens.shape[1] > c.max_seq_len:
-        raise ConfigError(f"sequence length {tokens.shape[1]} exceeds max_seq_len {c.max_seq_len}")
+    length = tokens.shape[1] + (0 if cache is None else cache.length)
+    if length > c.max_seq_len:
+        raise ConfigError(f"sequence length {length} exceeds max_seq_len {c.max_seq_len}")
     x = embedding(model.embed, tokens)
     for b in model.blocks_before:
-        x = layer_block(x, b, c.max_seq_len)
+        x = layer_block(x, b, c.max_seq_len, cache=cache)
     records = []
     if c.connection_kind != "none":
         x = x @ model.down_proj
@@ -218,10 +224,11 @@ def forward(
                 max_seq_len=c.max_seq_len,
                 dropout=dropout,
                 layer_index=i,
+                cache=cache,
             )
             records.append(rec)
     for b in model.blocks_after:
-        x = layer_block(x, b, c.max_seq_len)
+        x = layer_block(x, b, c.max_seq_len, cache=cache)
     x = rmsnorm(x, model.final_norm_scale)
     logits = x @ model.lm_head
     if squeeze:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from papaformer.blocks import ConfigError, layer_block, weight
+from papaformer.blocks import ConfigError, KVCache, layer_block, weight
 from papaformer.tensor import RngState, Tensor, concat, gumbel_noise
 
 
@@ -117,9 +117,10 @@ def run_paths(
     max_seq_len: int | None = None,
     dropout: float = 0.0,
     rng: RngState | None = None,
+    cache: KVCache | None = None,
 ) -> list:
     """Run each path block independently on the same input."""
-    return [layer_block(x, p, max_seq_len, dropout=dropout, rng=rng) for p in paths]
+    return [layer_block(x, p, max_seq_len, dropout=dropout, rng=rng, cache=cache) for p in paths]
 
 
 def concat_paths(outputs: list) -> Tensor:
@@ -236,6 +237,7 @@ def parallel_layer_forward(
     max_seq_len: int | None = None,
     dropout: float = 0.0,
     layer_index: int = 0,
+    cache: KVCache | None = None,
 ) -> tuple:
     """One parallel layer: run paths, then fuse.
 
@@ -243,9 +245,12 @@ def parallel_layer_forward(
     restores the full width d: share_linear applies its expanding map, the
     Gumbel variants concatenate the k path outputs (k*d' = d) and skip their
     mixture. Gumbel routing weights are computed and recorded at every layer
-    either way, for the auxiliary losses and routing traces.
+    either way, for the auxiliary losses and routing traces. ``cache`` is passed
+    to every path's attention.
     """
-    outputs = run_paths(x, params.paths, max_seq_len, dropout=dropout, rng=rng if dropout > 0 else None)
+    outputs = run_paths(
+        x, params.paths, max_seq_len, dropout=dropout, rng=rng if dropout > 0 else None, cache=cache
+    )
     if kind == "share_linear":
         w = params.final_share.w if final else params.connection.w
         y = concat_paths(outputs) @ w  # y = W [f_1 ; ... ; f_k]

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from papaformer.analysis import (
     AnalysisError,
+    _softmax,
     DominanceTrace,
     RoutingTrace,
     _cosine_rows,
@@ -15,7 +18,7 @@ from papaformer.analysis import (
     utilization,
 )
 from papaformer.data import ToyTokenizer, synthetic_math_corpus, synthetic_story_corpus
-from papaformer.model import ModelConfig, build
+from papaformer.model import CONNECTION_KINDS, ModelConfig, build, forward
 from papaformer.tensor import RngState
 
 VOCAB = 30
@@ -85,6 +88,14 @@ class TestRoutingTrace:
         with pytest.raises(AnalysisError, match="trace_dominance"):
             trace_routing(share_model, PROMPT)
 
+    def test_probe_position_outside_prompt(self, gumbel_model):
+        with pytest.raises(AnalysisError, match="position 7"):
+            trace_routing(gumbel_model, [1, 2, 3], position=7)
+
+    def test_empty_prompt(self, gumbel_model):
+        with pytest.raises(AnalysisError, match="empty prompt"):
+            trace_routing(gumbel_model, np.array([], dtype=np.int64))
+
     def test_combined_label(self):
         t = RoutingTrace(PROMPT, selections=[2, 0], pis=[], position=4, k=2)
         assert t.labels() == ["combined", "path_1"]
@@ -112,6 +123,10 @@ class TestDominanceTrace:
     def test_rejects_gumbel(self, gumbel_model):
         with pytest.raises(AnalysisError, match="share_linear"):
             trace_dominance(gumbel_model, PROMPT)
+
+    def test_empty_prompt(self, share_model):
+        with pytest.raises(AnalysisError, match="empty prompt"):
+            trace_dominance(share_model, [])
 
     def test_cosine_scale_invariance(self):
         rng = np.random.default_rng(0)
@@ -217,6 +232,10 @@ class TestGenerate:
             result = generate(gumbel_model, long_prompt, 1)
         assert len(result.new_tokens) == 1
 
+    def test_empty_prompt(self, gumbel_model):
+        with pytest.raises(AnalysisError, match="empty prompt"):
+            generate(gumbel_model, [], 3)
+
     def test_bad_mode(self, gumbel_model):
         with pytest.raises(AnalysisError, match="mode"):
             generate(gumbel_model, PROMPT, 1, mode="beam")
@@ -229,3 +248,42 @@ class TestGenerate:
         text = format_generation(result, tok)
         assert text.count("\n") == 1
         assert "%" in text
+
+
+def uncached_generate(model, prompt, n, mode, temperature, rng):
+    """generate's sampling rule with a fresh full-window forward at every step."""
+    tokens, steps = list(prompt), []
+    limit = model.config.max_seq_len
+    for _ in range(n):
+        logits, _ = forward(model, np.asarray(tokens[-limit:], dtype=np.int64))
+        probs = _softmax(logits.data[-1])
+        order = np.argsort(-probs)
+        if mode == "greedy":
+            nxt = int(order[0])
+        else:
+            nxt = int(np.searchsorted(np.cumsum(_softmax(logits.data[-1] / temperature)), float(rng.uniform(()))))
+        steps.append((nxt, [float(probs[t]) for t in order[:5]]))
+        tokens.append(nxt)
+    return steps
+
+
+class TestCachedGenerate:
+    """The K/V-cached loop against a fresh full-window forward at every step."""
+
+    @pytest.mark.parametrize("kind", CONNECTION_KINDS)
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    @pytest.mark.parametrize("prompt_len", [5, 16, 21])
+    def test_matches_full_window_forward(self, kind, mode, prompt_len):
+        m = build(model_config(kind, n_parallel=0 if kind == "none" else 2, n_layer_blocks=2), RngState(6))
+        prompt = np.random.default_rng(prompt_len).integers(0, VOCAB, size=prompt_len)
+        n = 6
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = generate(m, prompt, n, mode=mode, temperature=1.3, rng=RngState(9))
+        want = uncached_generate(m, prompt, n, mode, 1.3, RngState(9))
+        assert result.new_tokens == [t for t, _ in want]
+        for step, (_, probs) in zip(result.steps, want):
+            np.testing.assert_allclose([p for _, p in step.top_tokens], probs, atol=1e-6)
+        limit = m.config.max_seq_len
+        truncated = sum("truncated" in str(w.message) for w in caught)
+        assert truncated == sum(prompt_len + i > limit for i in range(n))

@@ -15,6 +15,12 @@ def make_params(d=8, heads=2, ff=12, seed=0):
     return LayerBlockParams.init(d, heads, ff, RngState(seed))
 
 
+def rotated(x, w, heads):
+    """RoPE-rotated x @ w as a head-major [B, heads, T, head_dim] array."""
+    b, t, d = x.shape
+    return rope((x @ w).reshape(b, t, heads, d // heads), np.arange(t)).data.transpose(0, 2, 1, 3)
+
+
 class TestRmsNorm:
     def test_unit_input(self):
         out = rmsnorm(Tensor([1.0, 1.0, 1.0, 1.0]), Tensor(np.ones(4))).data
@@ -103,15 +109,39 @@ class TestCausalMha:
     def test_attention_rows_sum_to_one(self):
         p = make_params()
         x = Tensor(np.random.default_rng(7).random((2, 5, 8)).astype(np.float32))
-        att = blocks.attention_weights(x, p)
+        att = blocks._causal_softmax(rotated(x, p.wq, p.heads), rotated(x, p.wk, p.heads))
         np.testing.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-5)
         # strict causal: no weight above the diagonal
         assert np.max(np.abs(np.triu(att, k=1))) < 1e-6
+
+    def test_offset_mask_is_last_rows_of_full_mask(self):
+        np.testing.assert_array_equal(blocks.causal_mask(2, 5), blocks.causal_mask(5, 5)[3:])
+
+    def test_cached_grad_reaches_only_new_positions_float64(self):
+        T.set_default_dtype(np.float64)
+        try:
+            p = make_params(seed=3)
+            rng = np.random.default_rng(16)
+            x0 = rng.random((1, 5, 8)) * 2 - 1
+            probe = Tensor(rng.normal(size=(1, 2, 8)))
+
+            def loss(x_new):
+                cache = blocks.KVCache()
+                causal_mha(Tensor(x0[:, :3]), p, cache=cache)
+                return (causal_mha(x_new, p, cache=cache) * probe).sum()
+
+            check_grad(loss, x0[:, 3:], h=1e-5, tol=1e-6)
+        finally:
+            T.set_default_dtype(np.float32)
 
     def test_seq_len_limit(self):
         p = make_params()
         with pytest.raises(blocks.ConfigError):
             causal_mha(Tensor(np.zeros((1, 9, 8))), p, max_seq_len=8)
+        cache = blocks.KVCache()
+        causal_mha(Tensor(np.zeros((1, 6, 8))), p, max_seq_len=8, cache=cache)
+        with pytest.raises(blocks.ConfigError, match="9 exceeds"):
+            causal_mha(Tensor(np.zeros((1, 3, 8))), p, max_seq_len=8, cache=cache)
 
     def test_matches_per_row_loop_reference(self):
         p = make_params()
@@ -131,7 +161,13 @@ class TestCausalMha:
                     ctx[b, i, h] = w @ v[b, : i + 1, h]
         ref = ctx.reshape(2, 5, 8) @ p.wo.data.astype(np.float64)
         np.testing.assert_allclose(causal_mha(x, p).data, ref, rtol=1e-5, atol=1e-6)
-        np.testing.assert_allclose(blocks.attention_weights(x, p), att, atol=1e-6)
+        got_att = blocks._causal_softmax(rotated(x, p.wq, p.heads), rotated(x, p.wk, p.heads))
+        np.testing.assert_allclose(got_att, att, atol=1e-6)
+        # the same positions in two chunks through one K/V cache
+        cache = blocks.KVCache()
+        chunks = [causal_mha(x[:, :2], p, cache=cache).data, causal_mha(x[:, 2:], p, cache=cache).data]
+        assert cache.length == 5
+        np.testing.assert_allclose(np.concatenate(chunks, axis=1), ref, rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("wrt", ["x", "wq", "wk", "wv"])
     def test_grad_float64(self, wrt):

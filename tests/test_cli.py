@@ -153,6 +153,17 @@ class TestCompose:
         out = capsys.readouterr().out
         assert "next token predictions" in out and "%" in out
 
+    def test_empty_prompts_exit_data(self, workdir, capsys):
+        composite = str(workdir / "composite.ppck")
+        store = str(workdir / "store.ppch")
+        rc = main(["generate", "--checkpoint", composite, "--data", store, "--prompt", ""])
+        assert rc == EXIT_DATA
+        assert "empty prompt" in capsys.readouterr().err
+        (workdir / "empty_prompt.tsv").write_text("story\tOnce upon a time\nmath\t \n")
+        rc = main(["analyze", "--checkpoint", composite, "--data", store, "--prompts", str(workdir / "empty_prompt.tsv")])
+        assert rc == EXIT_DATA
+        assert "empty prompt" in capsys.readouterr().err
+
     def test_provenance_file_matches_checkpoint(self, workdir):
         provenance = json.loads((workdir / "composite.ppck.provenance.json").read_text())
         manifest = read_manifest(str(workdir / "composite.ppck"))

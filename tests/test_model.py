@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import papaformer.tensor as T
-from papaformer.blocks import ConfigError
+from papaformer.blocks import ConfigError, KVCache
 from papaformer.model import CONNECTION_KINDS, ModelConfig, build, count_params, forward
 from papaformer.tensor import RngState
 
@@ -132,6 +132,28 @@ class TestForward:
         m = build(tiny_config("none"), RngState(1))
         with pytest.raises(ConfigError):
             forward(m, np.zeros(17, dtype=np.int64))
+
+    def test_cache_past_max_seq_len(self):
+        m = build(tiny_config("gumbel_v1"), RngState(1))
+        cache = KVCache()
+        forward(m, np.zeros(10, dtype=np.int64), cache=cache)
+        forward(m, np.zeros(6, dtype=np.int64), cache=cache)
+        assert cache.length == 16
+        with pytest.raises(ConfigError, match="17 exceeds"):
+            forward(m, np.zeros(1, dtype=np.int64), cache=cache)
+
+    @pytest.mark.parametrize("kind", CONNECTION_KINDS)
+    def test_cached_chunks_match_full_forward(self, kind):
+        m = build(tiny_config(kind), RngState(4))
+        toks = np.random.default_rng(1).integers(0, 13, size=(2, 12))
+        full, full_records = forward(m, toks)
+        cache = KVCache()
+        parts = [forward(m, toks[:, a:b], cache=cache) for a, b in ((0, 7), (7, 8), (8, 12))]
+        np.testing.assert_allclose(np.concatenate([lg.data for lg, _ in parts], axis=1), full.data, atol=1e-5)
+        if kind.startswith("gumbel"):
+            for i, rec in enumerate(full_records):
+                pis = np.concatenate([recs[i].pi.data for _, recs in parts], axis=1)
+                np.testing.assert_allclose(pis, rec.pi.data, atol=1e-6)
 
     @pytest.mark.parametrize("kind", ["none", "gumbel_v2"])
     def test_causality_end_to_end(self, kind):
