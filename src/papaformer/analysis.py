@@ -18,7 +18,7 @@ import numpy as np
 
 from papaformer.blocks import KVCache
 from papaformer.model import PaPaformerModel, forward
-from papaformer.tensor import RngState
+from papaformer.tensor import RngState, Tensor, cosine_similarity
 
 COMBINED = "combined"
 
@@ -95,12 +95,6 @@ def trace_routing(model: PaPaformerModel, prompt_tokens: np.ndarray, position: i
     )
 
 
-def _cosine_rows(a: np.ndarray, b: np.ndarray, eps: float = 1e-9) -> np.ndarray:
-    num = np.sum(a * b, axis=-1)
-    den = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
-    return num / np.maximum(den, eps)
-
-
 def trace_dominance(model: PaPaformerModel, prompt_tokens: np.ndarray) -> DominanceTrace:
     """Per-layer dominant path of a share_linear model by cosine to the mix.
 
@@ -126,7 +120,7 @@ def trace_dominance(model: PaPaformerModel, prompt_tokens: np.ndarray) -> Domina
             else:
                 w = (layer.final_share or layer.connection).w.data
                 rep = fi @ w[i * d_path : (i + 1) * d_path]
-            scores.append(float(np.mean(_cosine_rows(rep, y))))
+            scores.append(float(np.mean(cosine_similarity(Tensor(rep), Tensor(y)).data)))
         dominant.append(int(np.argmax(scores)))
         cosines.append(scores)
     return DominanceTrace(prompt_tokens=tokens, dominant=dominant, cosines=cosines)

@@ -3,7 +3,8 @@
 Verbs: pretokenize, train, compose, analyze, generate, count-params,
 inspect-checkpoint. Configs are YAML files with ``model:`` and ``train:``
 sections (unknown keys rejected); the packaged presets under ``configs/``
-can be named directly. PAPA_SEED overrides the configured seed. Exit codes:
+can be named directly. PAPA_SEED, an integer, overrides the configured seed
+and the --seed of compose and generate; train's --seed overrides it. Exit codes:
 0 success, 2 config error, 3 data error, 4 numerical abort, 5 composition
 conflict.
 """
@@ -31,7 +32,7 @@ from papaformer.analysis import (
 )
 from papaformer.blocks import ConfigError
 from papaformer.checkpoint import CheckpointError, load_checkpoint, read_manifest, save_checkpoint
-from papaformer.composer import CompositionError, CompositionPlan, compose, validate_plan
+from papaformer.composer import CompositionError, CompositionPlan, compose, composition_provenance, weight_source
 from papaformer.data import (
     ChunkStore,
     DataError,
@@ -92,11 +93,20 @@ def model_config_from(raw: dict, vocab_size: int | None = None) -> ModelConfig:
     return ModelConfig.from_dict(section)
 
 
+def env_seed(default: int) -> int:
+    """PAPA_SEED when it is set, else ``default``."""
+    value = os.environ.get("PAPA_SEED")
+    if value is None:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"PAPA_SEED: expected an integer, got {value!r}") from None
+
+
 def train_config_from(raw: dict, seed_override: int | None = None) -> TrainConfig:
     cfg = TrainConfig.from_dict(dict(raw.get("train") or {}))
-    env_seed = os.environ.get("PAPA_SEED")
-    if env_seed is not None:
-        cfg.seed = int(env_seed)
+    cfg.seed = env_seed(cfg.seed)
     if seed_override is not None:
         cfg.seed = seed_override
     return cfg
@@ -164,15 +174,13 @@ def cmd_compose(args) -> int:
     vocab = read_manifest(args.paths[0])["model_config"]["vocab_size"]
     target = model_config_from(raw, vocab_size=vocab)
     plan = CompositionPlan(path_checkpoints=list(args.paths), target_config=target)
-    seed = int(os.environ.get("PAPA_SEED", args.seed))
-    model = compose(plan, RngState(seed))
-    report = validate_plan(plan)
-    provenance = {name: tag for name, tag, _ in report.entries}
+    model = compose(plan, RngState(env_seed(args.seed)))
+    provenance = composition_provenance(target)
     save_checkpoint(args.out, model, provenance=provenance)
     with open(args.out + ".provenance.json", "w", encoding="utf-8") as f:
         json.dump(provenance, f, indent=2, sort_keys=True)
-    for name, tag, src in report.entries:
-        print(f"{tag:<13} {name} <- {src}")
+    for name, tag in provenance.items():
+        print(f"{tag:<13} {name} <- {weight_source(name, tag)}")
     print(f"composite checkpoint: {args.out}")
     return EXIT_OK
 
@@ -213,7 +221,6 @@ def cmd_analyze(args) -> int:
 def cmd_generate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     store = ChunkStore.load(args.data)
-    seed = int(os.environ.get("PAPA_SEED", args.seed))
     result = generate(
         ckpt.model,
         store.tokenizer.tokenize(args.prompt),
@@ -221,7 +228,7 @@ def cmd_generate(args) -> int:
         mode=args.mode,
         temperature=args.temperature,
         top_n=args.top_n,
-        rng=RngState(seed),
+        rng=RngState(env_seed(args.seed)),
     )
     print(f"prompt: {args.prompt}")
     print(f"continuation: {result.text(store.tokenizer)}")

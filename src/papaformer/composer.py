@@ -11,7 +11,7 @@ blocks, final norm — is freshly initialized with the standard build policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +30,6 @@ class CompositionPlan:
     target_config: ModelConfig
 
 
-@dataclass
-class ValidationReport:
-    entries: list = field(default_factory=list)  # (target name, provenance tag, source)
-    conflicts: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.conflicts
-
-
 def composition_provenance(config: ModelConfig) -> dict:
     """Provenance tag per target parameter name for a freshly composed model."""
     tags = {}
@@ -53,15 +43,24 @@ def composition_provenance(config: ModelConfig) -> dict:
     return tags
 
 
-def validate_plan(plan: CompositionPlan) -> ValidationReport:
-    """Check dimensions and vocabularies against manifests, touching no weights."""
-    report = ValidationReport()
+def weight_source(name: str, tag: str) -> str:
+    """Where a composed parameter's initial value comes from, given its provenance tag."""
+    if tag == "reused":
+        layer, slot, param = name.split(".", 2)
+        return f"path {int(slot.removeprefix('path')) + 1} block_before{layer.removeprefix('parallel')}.{param}"
+    if tag == "concatenated":
+        return f"all paths {name}"
+    return "init policy"
+
+
+def validate_plan(plan: CompositionPlan) -> list:
+    """Conflicts between the plan and its path manifests, touching no weights; empty when valid."""
+    conflicts = []
     target = plan.target_config
     if target.connection_kind == "none":
-        report.conflicts.append("target_config: connection_kind 'none' has no path slots")
-        return report
+        return ["target_config: connection_kind 'none' has no path slots"]
     if len(plan.path_checkpoints) != target.k_paths:
-        report.conflicts.append(
+        conflicts.append(
             f"path_checkpoints: got {len(plan.path_checkpoints)} checkpoints for k_paths={target.k_paths}"
         )
     configs = []
@@ -69,50 +68,40 @@ def validate_plan(plan: CompositionPlan) -> ValidationReport:
         try:
             configs.append(ModelConfig.from_dict(read_manifest(path)["model_config"]))
         except (OSError, KeyError, ValueError) as e:
-            report.conflicts.append(f"path {i + 1}: unreadable checkpoint ({e})")
+            conflicts.append(f"path {i + 1}: unreadable checkpoint ({e})")
             configs.append(None)
     vocabs = {c.vocab_size for c in configs if c is not None}
     if len(vocabs) > 1 or (vocabs and vocabs != {target.vocab_size}):
-        report.conflicts.append(
+        conflicts.append(
             f"vocab_size: paths {sorted(vocabs)} vs target {target.vocab_size} must all match"
         )
     for i, c in enumerate(configs):
         if c is None:
             continue
         if c.d_model != target.d_path:
-            report.conflicts.append(
+            conflicts.append(
                 f"path {i + 1}: width d_model={c.d_model} != target d_path={target.d_path}"
             )
         if c.n_layer_blocks != target.n_parallel_layers:
-            report.conflicts.append(
+            conflicts.append(
                 f"path {i + 1}: {c.n_layer_blocks} layer blocks != target "
                 f"n_parallel_layers={target.n_parallel_layers}"
             )
         if c.connection_kind != "none":
-            report.conflicts.append(f"path {i + 1}: source must be a plain stack, not parallel")
+            conflicts.append(f"path {i + 1}: source must be a plain stack, not parallel")
     widths = [c.d_model for c in configs if c is not None]
     if len(widths) == target.k_paths and sum(widths) != target.d_model:
-        report.conflicts.append(
+        conflicts.append(
             f"widths: sum of path widths {sum(widths)} != target d_model={target.d_model}"
         )
-    for name, tag in composition_provenance(target).items() if report.ok else ():
-        if tag == "reused":
-            layer = int(name.split(".")[0].removeprefix("parallel"))
-            slot = int(name.split(".")[1].removeprefix("path"))
-            src = f"path {slot + 1} block_before{layer}.{name.split('.', 2)[2]}"
-        elif tag == "concatenated":
-            src = f"all paths {name}"
-        else:
-            src = "init policy"
-        report.entries.append((name, tag, src))
-    return report
+    return conflicts
 
 
 def compose(plan: CompositionPlan, rng: RngState) -> PaPaformerModel:
     """Build the composite model; deterministic given (plan, rng seed)."""
-    report = validate_plan(plan)
-    if not report.ok:
-        raise CompositionError("; ".join(report.conflicts))
+    conflicts = validate_plan(plan)
+    if conflicts:
+        raise CompositionError("; ".join(conflicts))
     target = plan.target_config
     paths = [load_checkpoint(p).model for p in plan.path_checkpoints]
     model = build(target, rng)

@@ -67,11 +67,11 @@ class ModelConfig:
         if not (0.0 <= self.dropout_path < 1.0):
             raise ConfigError("dropout_path: must lie in [0, 1)")
         if isinstance(self.gumbel, dict):
-            self.gumbel = GumbelConfig(**self.gumbel)
-
-    @property
-    def head_dim_layer(self) -> int:
-        return self.d_model // self.heads_layer
+            gumbel = dict(self.gumbel)
+            # manifests written while GumbelConfig had this field carry it as true
+            if gumbel.pop("eval_deterministic", True) is not True:
+                raise ConfigError("gumbel.eval_deterministic: only true is accepted; evaluation routing is noise-free")
+            self.gumbel = GumbelConfig(**gumbel)
 
     def split_blocks(self) -> tuple:
         """(n_before, n_after) placement of layer blocks around the parallel core."""
@@ -191,7 +191,7 @@ def forward(
     """Next-token logits for a [T] or [B, T] id array, plus routing records.
 
     Training mode draws Gumbel noise (and dropout masks, when configured)
-    from ``rng``; evaluation without an rng uses deterministic routing.
+    from ``rng``; evaluation routes without noise and needs no rng.
     With a ``cache``, the tokens continue the ``cache.length`` positions
     already run through it, and logits and records cover the new tokens only;
     every other layer acts on each position alone, so only attention needs
@@ -223,7 +223,6 @@ def forward(
                 final=(i == c.n_parallel_layers - 1),
                 max_seq_len=c.max_seq_len,
                 dropout=dropout,
-                layer_index=i,
                 cache=cache,
             )
             records.append(rec)

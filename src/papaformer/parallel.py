@@ -28,7 +28,6 @@ class GumbelConfig:
 
     temperature: float = 1.0
     hard: bool = False
-    eval_deterministic: bool = True
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -40,11 +39,6 @@ class RoutingWeights:
     """Per-token routing simplex over k paths + 1 combined slot."""
 
     pi: Tensor  # [B, T, k+1], rows on the simplex
-    layer_index: int = 0
-
-    def selected(self) -> np.ndarray:
-        """Argmax slot per token, 0..k-1 = path, k = combined. Ties: lowest index."""
-        return np.argmax(self.pi.data, axis=-1)
 
 
 @dataclass
@@ -137,14 +131,14 @@ def gumbel_softmax(
     """Gumbel-Softmax over the last axis.
 
     Training mode adds fresh Gumbel noise to the logits before the tempered
-    softmax; deterministic evaluation skips the noise so routing traces are
-    reproducible. Hard mode forwards the one-hot argmax while gradients flow
-    through the soft weights (straight-through).
+    softmax; evaluation adds none, so routing traces are reproducible and a
+    cached decode step routes each position as a full forward would. Hard mode
+    forwards the one-hot argmax while gradients flow through the soft weights
+    (straight-through).
     """
-    use_noise = training or not cfg.eval_deterministic
-    if use_noise:
+    if training:
         if rng is None:
-            raise ConfigError("sampling-mode gumbel_softmax requires an rng stream")
+            raise ConfigError("training-mode gumbel_softmax requires an rng stream")
         logits = logits + gumbel_noise(logits.shape, rng)
     soft = (logits * (1.0 / cfg.temperature)).softmax(axis=-1)
     if not cfg.hard:
@@ -223,7 +217,6 @@ class DominanceRecord:
 
     path_outputs: list
     combined: Tensor
-    layer_index: int = 0
 
 
 def parallel_layer_forward(
@@ -236,7 +229,6 @@ def parallel_layer_forward(
     final: bool = False,
     max_seq_len: int | None = None,
     dropout: float = 0.0,
-    layer_index: int = 0,
     cache: KVCache | None = None,
 ) -> tuple:
     """One parallel layer: run paths, then fuse.
@@ -254,13 +246,9 @@ def parallel_layer_forward(
     if kind == "share_linear":
         w = params.final_share.w if final else params.connection.w
         y = concat_paths(outputs) @ w  # y = W [f_1 ; ... ; f_k]
-        record = DominanceRecord(path_outputs=outputs, combined=y, layer_index=layer_index)
-        return y, record
+        return y, DominanceRecord(path_outputs=outputs, combined=y)
     if kind == "gumbel_v1":
-        y, record = gumbel_v1_forward(outputs, params.connection, cfg, rng, training, final=final)
-    elif kind == "gumbel_v2":
-        y, record = gumbel_v2_forward(outputs, params.connection, cfg, rng, training, final=final)
-    else:
-        raise ConfigError(f"unknown connection kind {kind!r}")
-    record.layer_index = layer_index
-    return y, record
+        return gumbel_v1_forward(outputs, params.connection, cfg, rng, training, final=final)
+    if kind == "gumbel_v2":
+        return gumbel_v2_forward(outputs, params.connection, cfg, rng, training, final=final)
+    raise ConfigError(f"unknown connection kind {kind!r}")

@@ -106,22 +106,11 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
-
-    def assert_finite(self, ctx: str = "") -> "Tensor":
-        if not np.all(np.isfinite(self.data)):
-            raise NonFiniteError(f"non-finite values in tensor {ctx or self.shape}")
-        return self
 
     # -- graph ------------------------------------------------------------
 
@@ -346,14 +335,6 @@ class Tensor:
             _backward=lambda g: ((a, g.transpose(inv)),),
         )
 
-    def swapaxes(self, ax1: int, ax2: int) -> "Tensor":
-        a = self
-        return Tensor(
-            np.swapaxes(a.data, ax1, ax2),
-            _parents=(a,),
-            _backward=lambda g: ((a, np.swapaxes(g, ax1, ax2)),),
-        )
-
     def __getitem__(self, key) -> "Tensor":
         """Indexing; basic keys backpropagate by assignment, advanced keys by scatter-add."""
         a = self
@@ -391,19 +372,6 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
         return tuple(zip(tensors, pieces))
 
     return Tensor(out_data, _parents=tuple(tensors), _backward=bwd)
-
-
-def split(t: Tensor, sections: int, axis: int = 0) -> list:
-    """Split into ``sections`` equal parts along ``axis``."""
-    if t.shape[axis] % sections != 0:
-        raise ShapeError(f"cannot split extent {t.shape[axis]} into {sections} equal parts")
-    step = t.shape[axis] // sections
-    outs = []
-    for i in range(sections):
-        idx = [slice(None)] * t.ndim
-        idx[axis] = slice(i * step, (i + 1) * step)
-        outs.append(t[tuple(idx)])
-    return outs
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -447,28 +415,22 @@ class RngState:
     position: int = 0
 
     def _generator(self) -> np.random.Generator:
+        """The generator for the current position; advances the position."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.position,))
+        self.position += 1
         return np.random.Generator(np.random.PCG64(ss))
 
     def uniform(self, shape=()) -> np.ndarray:
-        g = self._generator()
-        self.position += 1
-        return g.random(size=shape, dtype=np.float64).astype(_default_dtype)
+        return self._generator().random(size=shape, dtype=np.float64).astype(_default_dtype)
 
     def normal(self, shape=(), std: float = 1.0) -> np.ndarray:
-        g = self._generator()
-        self.position += 1
-        return (g.standard_normal(size=shape) * std).astype(_default_dtype)
+        return (self._generator().standard_normal(size=shape) * std).astype(_default_dtype)
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
-        g = self._generator()
-        self.position += 1
-        return g.integers(low, high, size=shape)
+        return self._generator().integers(low, high, size=shape)
 
     def permutation(self, n: int) -> np.ndarray:
-        g = self._generator()
-        self.position += 1
-        return g.permutation(n)
+        return self._generator().permutation(n)
 
     def clone(self) -> "RngState":
         return RngState(self.seed, self.position)

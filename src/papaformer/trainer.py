@@ -238,8 +238,9 @@ def train(
                     )
                 scaled = breakdown.total * (1.0 / cfg.grad_accum_steps)
                 scaled.backward()
+                scalars = breakdown.scalars()
                 for k in acc:
-                    acc[k] += breakdown.scalars()[k] / cfg.grad_accum_steps
+                    acc[k] += scalars[k] / cfg.grad_accum_steps
                 n_tokens += x.size
                 report.consumed.extend((c.corpus, c.sub_collection, c.epoch, c.start) for c in batch)
             if cfg.grad_clip > 0:

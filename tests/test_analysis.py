@@ -8,7 +8,6 @@ from papaformer.analysis import (
     _softmax,
     DominanceTrace,
     RoutingTrace,
-    _cosine_rows,
     format_generation,
     format_utilization,
     generate,
@@ -19,7 +18,7 @@ from papaformer.analysis import (
 )
 from papaformer.data import ToyTokenizer, synthetic_math_corpus, synthetic_story_corpus
 from papaformer.model import CONNECTION_KINDS, ModelConfig, build, forward
-from papaformer.tensor import RngState
+from papaformer.tensor import RngState, Tensor, cosine_similarity
 
 VOCAB = 30
 
@@ -132,7 +131,9 @@ class TestDominanceTrace:
         rng = np.random.default_rng(0)
         a = rng.normal(size=(5, 8))
         b = rng.normal(size=(5, 8))
-        np.testing.assert_allclose(_cosine_rows(a, b), _cosine_rows(a, 7.5 * b), rtol=1e-12)
+        np.testing.assert_allclose(
+            cosine_similarity(Tensor(a), Tensor(b)).data, cosine_similarity(Tensor(a), Tensor(7.5 * b)).data, rtol=1e-12
+        )
 
 
 def routing(selections, k=2):

@@ -11,6 +11,7 @@ from papaformer.checkpoint import (
     read_manifest,
     save_checkpoint,
 )
+from papaformer.blocks import ConfigError
 from papaformer.cli import main
 from papaformer.composer import composition_provenance
 from papaformer.model import ModelConfig, build
@@ -85,6 +86,16 @@ class TestRoundTrip:
         ckpt = load_checkpoint(p)
         assert ckpt.provenance["embed"] == "reused"
         assert ckpt.provenance["lm_head"] == "fresh"
+
+    def test_manifest_with_eval_deterministic_loads(self, model, tmp_path):
+        # every manifest written while GumbelConfig had an eval_deterministic field carries it as true
+        p = str(tmp_path / "old.ppck")
+        save_checkpoint(p, model)
+        rewrite_manifest(p, lambda man: man["model_config"]["gumbel"].update(eval_deterministic=True))
+        again = load_checkpoint(p).model
+        assert again.config == model.config
+        for name, t in model.named_params().items():
+            assert np.array_equal(t.data, again.named_params()[name].data), name
 
 
 class TestManifest:
@@ -163,6 +174,13 @@ class TestErrors:
 
         rewrite_manifest(p, rename)
         with pytest.raises(CheckpointError, match="not present"):
+            load_checkpoint(p)
+
+    def test_noisy_evaluation_routing_rejected(self, model, tmp_path):
+        p = str(tmp_path / "noisy.ppck")
+        save_checkpoint(p, model)
+        rewrite_manifest(p, lambda man: man["model_config"]["gumbel"].update(eval_deterministic=False))
+        with pytest.raises(ConfigError, match="eval_deterministic"):
             load_checkpoint(p)
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from papaformer import cli, composer
 from papaformer.checkpoint import read_manifest
 from papaformer.cli import EXIT_COMPOSITION, EXIT_CONFIG, EXIT_DATA, load_config, main, train_config_from
 from papaformer.data import ChunkStore
@@ -126,6 +127,18 @@ class TestTrain:
         monkeypatch.setenv("PAPA_SEED", "99")
         cfg = train_config_from({"train": {"seed": 1}})
         assert cfg.seed == 99
+        assert train_config_from({"train": {"seed": 1}}, seed_override=5).seed == 5
+
+    def test_noisy_evaluation_routing_rejected(self, workdir, capsys):
+        noisy = workdir / "noisy.yaml"
+        noisy.write_text(TINY_MODEL.format(n_parallel=1, kind="gumbel_v1").replace(
+            "  connection_kind: gumbel_v1\n", "  connection_kind: gumbel_v1\n  gumbel:\n    eval_deterministic: false\n"
+        ))
+        rc = main(["train", "--config", str(noisy), "--data", str(workdir / "store.ppch"), "--role", "composite",
+                   "--out", str(workdir / "noisy.ppck")])
+        assert rc == EXIT_CONFIG
+        assert "gumbel.eval_deterministic" in capsys.readouterr().err
+        assert not (workdir / "noisy.ppck").exists()
 
 
 class TestCompose:
@@ -163,6 +176,47 @@ class TestCompose:
         rc = main(["analyze", "--checkpoint", composite, "--data", store, "--prompts", str(workdir / "empty_prompt.tsv")])
         assert rc == EXIT_DATA
         assert "empty prompt" in capsys.readouterr().err
+
+    def test_plan_validated_once(self, workdir, monkeypatch):
+        calls = []
+        real = composer.validate_plan
+
+        def counting(plan):
+            calls.append(plan)
+            return real(plan)
+
+        monkeypatch.setattr(composer, "validate_plan", counting)
+        monkeypatch.setattr(cli, "validate_plan", counting, raising=False)  # in case the verb imports it by name
+        rc = main([
+            "compose", str(workdir / "path1.ppck"), str(workdir / "path2.ppck"),
+            "--config", str(workdir / "gumbel.yaml"), "--out", str(workdir / "once.ppck"),
+        ])
+        assert rc == 0
+        assert len(calls) == 1
+
+    def test_env_seed_overrides_compose_seed(self, workdir, monkeypatch):
+        paths = [str(workdir / "path1.ppck"), str(workdir / "path2.ppck")]
+        config = ["--config", str(workdir / "gumbel.yaml")]
+        assert main(["compose", *paths, *config, "--seed", "5", "--out", str(workdir / "seed5.ppck")]) == 0
+        monkeypatch.setenv("PAPA_SEED", "5")
+        assert main(["compose", *paths, *config, "--seed", "0", "--out", str(workdir / "env5.ppck")]) == 0
+        assert (workdir / "seed5.ppck").read_bytes() == (workdir / "env5.ppck").read_bytes()
+
+    @pytest.mark.parametrize("verb", ["train", "compose", "generate"])
+    def test_non_integer_env_seed(self, workdir, monkeypatch, capsys, verb):
+        store = str(workdir / "store.ppch")
+        argv = {
+            "train": ["train", "--config", str(workdir / "path.yaml"), "--data", store, "--role", "path1",
+                      "--seed", "3", "--out", str(workdir / "badseed.ppck")],
+            "compose": ["compose", str(workdir / "path1.ppck"), str(workdir / "path2.ppck"),
+                        "--config", str(workdir / "gumbel.yaml"), "--out", str(workdir / "badseed.ppck")],
+            "generate": ["generate", "--checkpoint", str(workdir / "composite.ppck"), "--data", store,
+                         "--prompt", "Once upon a time"],
+        }[verb]
+        monkeypatch.setenv("PAPA_SEED", "abc")
+        assert main(argv) == EXIT_CONFIG
+        assert "PAPA_SEED" in capsys.readouterr().err
+        assert not (workdir / "badseed.ppck").exists()
 
     def test_provenance_file_matches_checkpoint(self, workdir):
         provenance = json.loads((workdir / "composite.ppck.provenance.json").read_text())

@@ -8,6 +8,7 @@ from papaformer.composer import (
     compose,
     composition_provenance,
     validate_plan,
+    weight_source,
 )
 from papaformer.model import ModelConfig, build
 from papaformer.parallel import GumbelConfig, gumbel_v1_forward, run_paths
@@ -68,39 +69,32 @@ def plan(path_ckpts):
 
 class TestValidatePlan:
     def test_well_formed_plan_has_no_conflicts(self, plan):
-        report = validate_plan(plan)
-        assert report.ok
-        assert report.entries
-
-    def test_entries_cover_every_target_parameter(self, plan):
-        report = validate_plan(plan)
-        names = {e[0] for e in report.entries}
-        assert names == set(build(plan.target_config, RngState(0)).named_params())
+        assert validate_plan(plan) == []
 
     def test_width_mismatch_named(self, tmp_path, path_ckpts):
         narrow = build(path_config(d_model=8, heads_layer=2), RngState(5))
         p = str(tmp_path / "narrow.ppck")
         save_checkpoint(p, narrow)
-        report = validate_plan(CompositionPlan([path_ckpts[0], p], target_config()))
-        assert any("d_path" in c for c in report.conflicts)
+        conflicts = validate_plan(CompositionPlan([path_ckpts[0], p], target_config()))
+        assert any("d_path" in c for c in conflicts)
 
     def test_vocab_mismatch_named(self, tmp_path, path_ckpts):
         other = build(path_config(vocab_size=40), RngState(6))
         p = str(tmp_path / "othervocab.ppck")
         save_checkpoint(p, other)
-        report = validate_plan(CompositionPlan([path_ckpts[0], p], target_config()))
-        assert any("vocab" in c for c in report.conflicts)
+        conflicts = validate_plan(CompositionPlan([path_ckpts[0], p], target_config()))
+        assert any("vocab" in c for c in conflicts)
 
     def test_depth_mismatch_named(self, tmp_path, path_ckpts):
         shallow = build(path_config(n_layer_blocks=1), RngState(7))
         p = str(tmp_path / "shallow.ppck")
         save_checkpoint(p, shallow)
-        report = validate_plan(CompositionPlan([path_ckpts[0], p], target_config()))
-        assert any("layer blocks" in c for c in report.conflicts)
+        conflicts = validate_plan(CompositionPlan([path_ckpts[0], p], target_config()))
+        assert any("layer blocks" in c for c in conflicts)
 
     def test_wrong_checkpoint_count(self, path_ckpts):
-        report = validate_plan(CompositionPlan(path_ckpts[:1], target_config()))
-        assert any("k_paths" in c for c in report.conflicts)
+        conflicts = validate_plan(CompositionPlan(path_ckpts[:1], target_config()))
+        assert any("k_paths" in c for c in conflicts)
 
 
 class TestCompose:
@@ -167,6 +161,14 @@ class TestCompose:
             save_checkpoint(p, model, provenance=tags)
             assert load_checkpoint(p).provenance == tags
 
+    def test_provenance_covers_every_target_parameter(self, plan):
+        tags = composition_provenance(plan.target_config)
+        assert list(tags) == list(build(plan.target_config, None).named_params())
+        assert all(isinstance(weight_source(name, tag), str) for name, tag in tags.items())
+        assert weight_source("parallel1.path0.w_up", tags["parallel1.path0.w_up"]) == "path 1 block_before1.w_up"
+        assert weight_source("lm_head", tags["lm_head"]) == "all paths lm_head"
+        assert weight_source("down_proj", tags["down_proj"]) == "init policy"
+
 
 class TestPassThroughOracle:
     def test_forced_path1_routing_reproduces_path1_blocks(self, plan):
@@ -197,7 +199,7 @@ class TestPassThroughOracle:
         for block in model.blocks_before:
             x = layer_block(x, block, model.config.max_seq_len)
         x = x @ Tensor(model.down_proj.data)
-        cfg = GumbelConfig(eval_deterministic=True)
+        cfg = GumbelConfig()
         for j, layer in enumerate(model.parallel_layers):
             outputs = run_paths(x, layer.paths, model.config.max_seq_len)
             if j == len(model.parallel_layers) - 1:

@@ -78,6 +78,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown config keys"):
             ModelConfig.from_dict({"vocab_size": 10, "d_modle": 8})
 
+    def test_eval_deterministic_true_is_the_default(self):
+        cfg = ModelConfig.from_dict({"vocab_size": 10, "gumbel": {"eval_deterministic": True}})
+        assert cfg == ModelConfig(vocab_size=10)
+
+    def test_eval_deterministic_false_rejected(self):
+        with pytest.raises(ConfigError, match="gumbel.eval_deterministic"):
+            ModelConfig.from_dict({"vocab_size": 10, "gumbel": {"eval_deterministic": False}})
+
     def test_round_trip_dict(self):
         cfg = tiny_config("gumbel_v2")
         again = ModelConfig.from_dict(cfg.to_dict())
