@@ -21,6 +21,7 @@ from papaformer.model import PaPaformerModel, forward
 from papaformer.tensor import RngState, Tensor, cosine_similarity
 
 COMBINED = "combined"
+DOMAIN_PATHS = {"story": 0, "math": 1}  # the path pretrained on each domain's corpus
 
 
 class AnalysisError(ValueError):
@@ -98,9 +99,9 @@ def trace_routing(model: PaPaformerModel, prompt_tokens: np.ndarray, position: i
 def trace_dominance(model: PaPaformerModel, prompt_tokens: np.ndarray) -> DominanceTrace:
     """Per-layer dominant path of a share_linear model by cosine to the mix.
 
-    The expanding final layer changes width, so each path is represented by
-    its contribution through its slice of the combiner; at equal widths the
-    raw path output is compared directly.
+    The expanding final layer changes width, so there each path is represented
+    by its contribution through its slice of the combiner; on every other
+    layer the raw path output is compared directly.
     """
     if model.config.connection_kind != "share_linear":
         raise AnalysisError(
@@ -115,32 +116,27 @@ def trace_dominance(model: PaPaformerModel, prompt_tokens: np.ndarray) -> Domina
         scores = []
         for i, f in enumerate(rec.path_outputs):
             fi = f.data[0]
-            if y.shape[-1] == fi.shape[-1]:
-                rep = fi
-            else:
-                w = (layer.final_share or layer.connection).w.data
-                rep = fi @ w[i * d_path : (i + 1) * d_path]
+            rep = fi @ layer.connection.w.data[i * d_path : (i + 1) * d_path] if layer.final else fi
             scores.append(float(np.mean(cosine_similarity(Tensor(rep), Tensor(y)).data)))
         dominant.append(int(np.argmax(scores)))
         cosines.append(scores)
     return DominanceTrace(prompt_tokens=tokens, dominant=dominant, cosines=cosines)
 
 
-def utilization(traces: list, domains: list, domain_to_path: dict | None = None) -> UtilizationReport:
+def utilization(traces: list, domains: list) -> UtilizationReport:
     """Selection shares and domain accuracy over all (prompt, layer) cells."""
     if len(traces) != len(domains):
         raise AnalysisError("each trace needs a domain label")
     if not traces:
         raise AnalysisError("no traces to aggregate")
-    domain_to_path = domain_to_path or {"story": 0, "math": 1}
     k = max(t.k if isinstance(t, RoutingTrace) else len(t.cosines[0]) for t in traces)
     counts = np.zeros(k + 1, dtype=np.int64)
     correct = 0
     cells = 0
     for trace, domain in zip(traces, domains):
-        if domain not in domain_to_path:
+        if domain not in DOMAIN_PATHS:
             raise AnalysisError(f"unknown domain {domain!r}")
-        want = domain_to_path[domain]
+        want = DOMAIN_PATHS[domain]
         selections = trace.selections if isinstance(trace, RoutingTrace) else trace.dominant
         for s in selections:
             counts[s] += 1

@@ -25,6 +25,28 @@ class ConfigError(ValueError):
     """A block or model hyperparameter violates its constraints."""
 
 
+_SCALAR_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def read_config(cls, d, prefix: str = ""):
+    """``cls(**d)`` for a config dataclass read from a file or manifest mapping.
+
+    An unknown key, or a scalar field holding a value of another type (a field
+    typed ``T | None`` also takes null), raises ConfigError naming the key;
+    ``prefix`` is the mapping's own key path.
+    """
+    unknown = sorted(prefix + k for k in set(d) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    for key, value in d.items():
+        kind, _, optional = cls.__dataclass_fields__[key].type.partition(" | ")
+        if kind not in _SCALAR_TYPES or (optional and value is None):
+            continue
+        if not isinstance(value, _SCALAR_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
+            raise ConfigError(f"{prefix}{key}: expected {kind}, got {value!r}")
+    return cls(**d)
+
+
 def weight(shape: tuple, rng: RngState | None) -> Tensor:
     """A trainable N(0, INIT_STD) leaf, or zeros when ``rng`` is None (a skeleton leaf)."""
     data = np.zeros(shape, dtype=default_dtype()) if rng is None else rng.normal(shape, std=INIT_STD)

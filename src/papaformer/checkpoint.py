@@ -49,37 +49,16 @@ def save_checkpoint(
     opt_tensors: dict | None = None,
     extra: dict | None = None,
 ) -> None:
-    params = model.named_params()
     provenance = provenance or {}
-    opt_tensors = opt_tensors or {}
+    tensors = [(name, t.data, provenance.get(name, "fresh")) for name, t in model.named_params().items()]
+    tensors += [(f"opt.{name}", arr, "optimizer") for name, arr in (opt_tensors or {}).items()]
     entries = []
+    arrays = []
     offset = 0
-    payload = []
-    for name, t in params.items():
-        arr = np.ascontiguousarray(t.data, dtype="<f4")
-        entries.append(
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "dtype": "f4",
-                "offset": offset,
-                "provenance": provenance.get(name, "fresh"),
-            }
-        )
-        payload.append(arr.tobytes())
-        offset += arr.nbytes
-    for name, arr in opt_tensors.items():
-        arr = np.ascontiguousarray(arr, dtype="<f4")
-        entries.append(
-            {
-                "name": f"opt.{name}",
-                "shape": list(arr.shape),
-                "dtype": "f4",
-                "offset": offset,
-                "provenance": "optimizer",
-            }
-        )
-        payload.append(arr.tobytes())
+    for name, data, prov in tensors:
+        arr = np.ascontiguousarray(data, dtype="<f4")
+        entries.append({"name": name, "shape": list(arr.shape), "dtype": "f4", "offset": offset, "provenance": prov})
+        arrays.append(arr)
         offset += arr.nbytes
     manifest = {
         "format_version": CHECKPOINT_VERSION,
@@ -93,8 +72,8 @@ def save_checkpoint(
     with open(path, "wb") as f:
         f.write(struct.pack(_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)))
         f.write(blob)
-        for b in payload:
-            f.write(b)
+        for arr in arrays:
+            f.write(arr)  # from the array's own buffer; tobytes() would copy it
 
 
 def _read_manifest(f, path: str) -> dict:

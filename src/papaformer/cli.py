@@ -81,6 +81,9 @@ def load_config(ref: str) -> dict:
     unknown = set(raw) - set(_CONFIG_SECTIONS)
     if unknown:
         raise ConfigError(f"config {ref!r}: unknown sections {sorted(unknown)}")
+    for name in _CONFIG_SECTIONS:
+        if not isinstance(raw.get(name) or {}, dict):
+            raise ConfigError(f"config {ref!r}: section {name!r} must be a mapping")
     return raw
 
 

@@ -36,7 +36,7 @@ def composition_provenance(config: ModelConfig) -> dict:
     for name in build(config, None).named_params():
         if name in ("embed", "lm_head"):
             tags[name] = "concatenated"
-        elif name.startswith("parallel") and ".path" in name and ".conn." not in name and ".final." not in name:
+        elif name.startswith("parallel") and ".path" in name:
             tags[name] = "reused"
         else:
             tags[name] = "fresh"

@@ -183,17 +183,15 @@ def two_epoch_chunks(stream: np.ndarray, seq_len: int, rng: RngState, corpus_tag
     return first + second
 
 
-def split_collections(chunks: list, fraction: float = 0.6, rng: RngState | None = None) -> tuple:
+def split_collections(chunks: list, rng: RngState) -> tuple:
     """Random disjoint (60%, 40%) partition; tags each chunk in place.
 
     Splitting is per (corpus, epoch is ignored): callers pass one corpus's
     chunks at a time when per-corpus splits are required.
     """
-    if not (0.0 < fraction < 1.0):
-        raise DataError(f"split fraction {fraction} outside (0, 1)")
     n = len(chunks)
-    order = rng.permutation(n) if rng is not None else np.arange(n)
-    n60 = round(fraction * n)
+    order = rng.permutation(n)
+    n60 = round(0.6 * n)
     sub60 = [chunks[i] for i in order[:n60]]
     sub40 = [chunks[i] for i in order[n60:]]
     for c in sub60:
@@ -348,7 +346,6 @@ class ChunkStore:
 def build_chunk_store(
     corpora: list,
     seq_len: int = SEQ_LEN_DEFAULT,
-    split_fraction: float = 0.6,
     seed: int = 42,
     byte_fallback: bool = False,
 ) -> ChunkStore:
@@ -359,6 +356,6 @@ def build_chunk_store(
     for corpus in corpora:
         stream = build_stream(corpus, tokenizer)
         chunks = two_epoch_chunks(stream, seq_len, rng, corpus.domain_tag)
-        split_collections(chunks, split_fraction, rng)
+        split_collections(chunks, rng)
         all_chunks.extend(chunks)
     return ChunkStore(seq_len=seq_len, chunks=all_chunks, tokenizer=tokenizer)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from papaformer.blocks import ConfigError, KVCache, LayerBlockParams, layer_block, rmsnorm, weight
+from papaformer.blocks import ConfigError, KVCache, LayerBlockParams, layer_block, read_config, rmsnorm, weight
 from papaformer.parallel import (
     GumbelConfig,
     GumbelParams,
@@ -71,7 +71,9 @@ class ModelConfig:
             # manifests written while GumbelConfig had this field carry it as true
             if gumbel.pop("eval_deterministic", True) is not True:
                 raise ConfigError("gumbel.eval_deterministic: only true is accepted; evaluation routing is noise-free")
-            self.gumbel = GumbelConfig(**gumbel)
+            self.gumbel = read_config(GumbelConfig, gumbel, "gumbel.")
+        elif not isinstance(self.gumbel, GumbelConfig):
+            raise ConfigError(f"gumbel: expected a mapping, got {self.gumbel!r}")
 
     def split_blocks(self) -> tuple:
         """(n_before, n_after) placement of layer blocks around the parallel core."""
@@ -89,11 +91,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+        return read_config(cls, d)
 
 
 @dataclass
@@ -153,17 +151,11 @@ def build(config: ModelConfig, rng: RngState | None) -> PaPaformerModel:
             ]
             final = i == c.n_parallel_layers - 1
             if c.connection_kind == "share_linear":
-                conn = ShareLinearParams.init(c.k_paths, c.d_path, c.d_path, rng) if not final else None
-                final_share = (
-                    ShareLinearParams.init(c.k_paths, c.d_path, c.d_model, rng) if final else None
-                )
-                parallel_layers.append(
-                    ParallelLayerParams(paths=paths, connection=conn, final_share=final_share)
-                )
+                conn = ShareLinearParams.init(c.k_paths, c.d_path, c.d_model if final else c.d_path, rng)
             else:
                 variant = 1 if c.connection_kind == "gumbel_v1" else 2
                 conn = GumbelParams.init(variant, c.k_paths, c.d_path, rng)
-                parallel_layers.append(ParallelLayerParams(paths=paths, connection=conn))
+            parallel_layers.append(ParallelLayerParams(paths=paths, connection=conn, final=final))
     blocks_after = [
         LayerBlockParams.init(c.d_model, c.heads_layer, c.ff_layer, rng) for _ in range(n_after)
     ]
@@ -212,15 +204,13 @@ def forward(
     if c.connection_kind != "none":
         x = x @ model.down_proj
         dropout = c.dropout_path if training else 0.0
-        for i, layer in enumerate(model.parallel_layers):
+        for layer in model.parallel_layers:
             x, rec = parallel_layer_forward(
                 x,
                 layer,
-                c.connection_kind,
                 c.gumbel,
                 rng=rng,
                 training=training,
-                final=(i == c.n_parallel_layers - 1),
                 max_seq_len=c.max_seq_len,
                 dropout=dropout,
                 cache=cache,

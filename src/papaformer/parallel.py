@@ -88,20 +88,23 @@ class GumbelParams:
 
 @dataclass
 class ParallelLayerParams:
-    """k path blocks at width d' plus one connection strategy."""
+    """k path blocks at width d' plus the connection that fuses them.
+
+    The ``final`` (last) layer restores the full width d: a share_linear
+    connection there is the expanding (k*d') x d map, named ``final.w``, and
+    a Gumbel connection outputs the path concatenation.
+    """
 
     paths: list  # k LayerBlockParams at width d'
     connection: object  # ShareLinearParams | GumbelParams
-    final_share: object = None  # expanding ShareLinearParams on the last share_linear layer
+    final: bool = False
 
     def named_params(self, prefix: str = "") -> dict:
         out = {}
         for i, p in enumerate(self.paths):
             out.update(p.named_params(f"{prefix}path{i}."))
-        if self.connection is not None:
-            out.update(self.connection.named_params(f"{prefix}conn."))
-        if self.final_share is not None:
-            out.update(self.final_share.named_params(f"{prefix}final."))
+        expands = self.final and isinstance(self.connection, ShareLinearParams)
+        out.update(self.connection.named_params(f"{prefix}{'final' if expands else 'conn'}."))
         return out
 
 
@@ -222,33 +225,26 @@ class DominanceRecord:
 def parallel_layer_forward(
     x: Tensor,
     params: ParallelLayerParams,
-    kind: str,
     cfg: GumbelConfig,
     rng: RngState | None = None,
     training: bool = True,
-    final: bool = False,
     max_seq_len: int | None = None,
     dropout: float = 0.0,
     cache: KVCache | None = None,
 ) -> tuple:
-    """One parallel layer: run paths, then fuse.
+    """One parallel layer: run paths, then fuse with the layer's connection.
 
-    Inter-layer output stays at width d'. With ``final=True`` the fusion
-    restores the full width d: share_linear applies its expanding map, the
-    Gumbel variants concatenate the k path outputs (k*d' = d) and skip their
-    mixture. Gumbel routing weights are computed and recorded at every layer
-    either way, for the auxiliary losses and routing traces. ``cache`` is passed
-    to every path's attention.
+    Inter-layer output stays at width d'; a ``params.final`` layer restores
+    the full width d. Gumbel routing weights are computed and recorded at
+    every layer, for the auxiliary losses and routing traces. ``cache`` is
+    passed to every path's attention.
     """
     outputs = run_paths(
         x, params.paths, max_seq_len, dropout=dropout, rng=rng if dropout > 0 else None, cache=cache
     )
-    if kind == "share_linear":
-        w = params.final_share.w if final else params.connection.w
-        y = concat_paths(outputs) @ w  # y = W [f_1 ; ... ; f_k]
+    conn = params.connection
+    if isinstance(conn, ShareLinearParams):
+        y = concat_paths(outputs) @ conn.w  # y = W [f_1 ; ... ; f_k]
         return y, DominanceRecord(path_outputs=outputs, combined=y)
-    if kind == "gumbel_v1":
-        return gumbel_v1_forward(outputs, params.connection, cfg, rng, training, final=final)
-    if kind == "gumbel_v2":
-        return gumbel_v2_forward(outputs, params.connection, cfg, rng, training, final=final)
-    raise ConfigError(f"unknown connection kind {kind!r}")
+    gumbel_forward = gumbel_v1_forward if conn.variant == 1 else gumbel_v2_forward
+    return gumbel_forward(outputs, conn, cfg, rng, training, final=params.final)

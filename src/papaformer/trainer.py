@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from papaformer.blocks import ConfigError
+from papaformer.blocks import ConfigError, read_config
 from papaformer.checkpoint import save_checkpoint
 from papaformer.data import ChunkStore, make_batches
 from papaformer.losses import cross_entropy, total_loss
@@ -51,17 +51,17 @@ class TrainConfig:
             raise ConfigError("adam betas must lie in (0, 1)")
         if self.weight_decay < 0 or self.adam_eps <= 0:
             raise ConfigError("weight_decay must be >= 0 and adam_eps > 0")
+        if self.lambda_entropy < 0 or self.lambda_load < 0:
+            raise ConfigError("lambda_entropy/lambda_load: loss weights must be >= 0")
+        if self.sign_entropy not in (1, -1) or self.sign_load not in (1, -1):
+            raise ConfigError("sign_entropy/sign_load: must be +1 or -1")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
+        return read_config(cls, d, "train.")
 
 
 @dataclass
@@ -116,15 +116,15 @@ def adamw_step(params: dict, state: OptimizerState, lr_t: float, cfg: TrainConfi
             p.data -= np.asarray(lr_t * cfg.weight_decay * p.data, dtype=p.data.dtype)
 
 
-def cosine_lr(step: int, total_steps: int, lr_max: float, warmup_steps: int = 0, lr_min: float = 0.0) -> float:
-    """Cosine annealing from lr_max at step 0 to lr_min at total_steps."""
+def cosine_lr(step: int, total_steps: int, lr_max: float, warmup_steps: int = 0) -> float:
+    """Cosine annealing from lr_max at step 0 to 0 at total_steps."""
     if not (0 <= step <= total_steps):
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     if warmup_steps and step < warmup_steps:
         return lr_max * (step + 1) / warmup_steps
     span = max(total_steps - warmup_steps, 1)
     progress = (step - warmup_steps) / span
-    return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * progress))
+    return 0.5 * lr_max * (1.0 + math.cos(math.pi * progress))
 
 
 def clip_gradients(params: dict, max_norm: float) -> float:

@@ -114,6 +114,17 @@ class TestTrain:
         assert "has 10," in err and f"vocab of {store_vocab}" in err
         assert not (workdir / "small.ppck").exists()
 
+    @pytest.mark.parametrize("entry", ["sign_entropy: 2", "lambda_load: -1", "grad_clip: abc"])
+    def test_bad_train_value_exits_config(self, workdir, capsys, entry):
+        bad = workdir / "bad_train.yaml"
+        bad.write_text(TINY_PATH + f"  {entry}\n")
+        out = workdir / "bad_train.ppck"
+        rc = main(["train", "--config", str(bad), "--data", str(workdir / "store.ppch"), "--role", "path1",
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert entry.split(":")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config(self, workdir, capsys):
         rc = main(["train", "--config", "nope", "--data", str(workdir / "store.ppch"), "--out", str(workdir / "x.ppck")])
         assert rc == EXIT_CONFIG
@@ -283,6 +294,22 @@ class TestConfigLoading:
         p.write_text("model:\n  vocab_size: 10\n  d_modell: 64\n")
         assert main(["count-params", "--config", str(p)]) == EXIT_CONFIG
         assert "d_modell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("model:\n  vocab_size: 10\n  gumbel: {temprature: 0.5}\n", "gumbel.temprature"),
+            ("model:\n  vocab_size: 10\n  d_model: abc\n", "d_model"),
+            ("model:\n  vocab_size: 10\n  gumbel: 3\n", "gumbel"),
+            ("model: 3\n", "'model' must be a mapping"),
+        ],
+        ids=["gumbel-key-typo", "non-integer-size", "non-mapping-gumbel", "non-mapping-section"],
+    )
+    def test_malformed_model_config_exits_config(self, tmp_path, capsys, text, key):
+        p = tmp_path / "bad.yaml"
+        p.write_text(text)
+        assert main(["count-params", "--config", str(p)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
     def test_preset_loads_as_mapping(self):
         raw = load_config("base_256")

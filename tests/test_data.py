@@ -131,10 +131,6 @@ class TestSplitCollections:
         assert all(c.sub_collection == 60 for c in sub60)
         assert all(c.sub_collection == 40 for c in sub40)
 
-    def test_bad_fraction(self):
-        with pytest.raises(DataError):
-            split_collections(self.chunks(4), fraction=1.0, rng=RngState(0))
-
 
 class TestMakeBatches:
     def chunks(self, n, tag):

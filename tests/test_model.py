@@ -78,6 +78,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown config keys"):
             ModelConfig.from_dict({"vocab_size": 10, "d_modle": 8})
 
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ({"d_model": "abc"}, "d_model"),
+            ({"d_model": True}, "d_model"),
+            ({"d_model": 8.0}, "d_model"),
+            ({"n_before": "1"}, "n_before"),
+            ({"gumbel": 3}, "gumbel"),
+            ({"gumbel": {"temprature": 0.5}}, "gumbel.temprature"),
+            ({"gumbel": {"hard": 1}}, "gumbel.hard"),
+        ],
+    )
+    def test_from_dict_rejects_mistyped_values(self, entry, key):
+        with pytest.raises(ConfigError, match=key):
+            ModelConfig.from_dict({"vocab_size": 10, **entry})
+
+    def test_from_dict_accepts_null_optional_and_int_float(self):
+        cfg = ModelConfig.from_dict({"vocab_size": 10, "n_before": None, "dropout_path": 0, "gumbel": {"temperature": 2}})
+        assert cfg.n_before is None and cfg.gumbel.temperature == 2
+
     def test_eval_deterministic_true_is_the_default(self):
         cfg = ModelConfig.from_dict({"vocab_size": 10, "gumbel": {"eval_deterministic": True}})
         assert cfg == ModelConfig(vocab_size=10)
@@ -110,6 +130,21 @@ class TestBuild:
         for (na, pa), (nb, pb) in zip(a.named_params().items(), b.named_params().items()):
             assert na == nb
             assert pa.data.tobytes() == pb.data.tobytes()
+
+    @pytest.mark.parametrize("kind", ["share_linear", "gumbel_v1", "gumbel_v2"])
+    def test_only_the_last_parallel_layer_is_final(self, kind):
+        for rng in (None, RngState(0)):
+            m = build(tiny_config(kind, n_parallel_layers=3), rng)
+            assert [layer.final for layer in m.parallel_layers] == [False, False, True]
+
+    def test_last_share_linear_connection_expands(self):
+        c = tiny_config("share_linear")
+        m = build(c, RngState(0))
+        first, last = m.parallel_layers[0].connection.w, m.parallel_layers[-1].connection.w
+        assert first.shape == (c.k_paths * c.d_path, c.d_path)
+        assert last.shape == (c.k_paths * c.d_path, c.d_model)
+        assert m.named_params()[f"parallel{c.n_parallel_layers - 1}.final.w"] is last
+        assert m.named_params()["parallel0.conn.w"] is first
 
     def test_block_split_defaults(self):
         assert tiny_config("gumbel_v1").split_blocks() == (1, 1)

@@ -28,6 +28,16 @@ def path_params(seed=0, d=D_PATH, heads=2, ff=6):
     return LayerBlockParams.init(d, heads, ff, RngState(seed))
 
 
+def make_layer(kind, final=False, seed=0):
+    """A K-path layer; a final share_linear layer expands to K * D_PATH."""
+    paths = [path_params(seed=30 + seed), path_params(seed=40 + seed)]
+    if kind == "share_linear":
+        conn = ShareLinearParams.init(K, D_PATH, K * D_PATH if final else D_PATH, RngState(50 + seed))
+    else:
+        conn = GumbelParams.init(1 if kind == "gumbel_v1" else 2, K, D_PATH, RngState(50 + seed))
+    return ParallelLayerParams(paths=paths, connection=conn, final=final)
+
+
 def rand_outputs(rng, k=K, b=1, t=3, d=D_PATH):
     return [Tensor((rng.random((b, t, d)) * 2 - 1).astype(np.float32)) for _ in range(k)]
 
@@ -207,32 +217,26 @@ class TestGumbelV2:
 
 class TestRoutingGradients:
     def test_gradients_reach_router_combine_and_paths(self):
-        paths = [path_params(seed=20), path_params(seed=21)]
-        layer = ParallelLayerParams(paths=paths, connection=GumbelParams.init(1, K, D_PATH, RngState(7)))
+        layer = make_layer("gumbel_v1", seed=1)
         x = Tensor(np.random.default_rng(13).random((1, 3, D_PATH)).astype(np.float32))
-        y, rec = parallel_layer_forward(x, layer, "gumbel_v1", GumbelConfig(), rng=RngState(8), training=True)
+        y, rec = parallel_layer_forward(x, layer, GumbelConfig(), rng=RngState(8), training=True)
         (y * y).sum().backward()
         for name, p in layer.named_params().items():
             assert p.grad is not None and np.any(p.grad != 0), name
 
     def test_directional_fd_with_frozen_noise(self):
-        paths = [path_params(seed=22), path_params(seed=23)]
-        conn = GumbelParams.init(2, K, D_PATH, RngState(9))
-        layer = ParallelLayerParams(paths=paths, connection=conn)
+        layer = make_layer("gumbel_v2", seed=2)
 
         def loss(x):
-            y, _ = parallel_layer_forward(
-                x, layer, "gumbel_v2", GumbelConfig(), rng=RngState(10), training=True
-            )
+            y, _ = parallel_layer_forward(x, layer, GumbelConfig(), rng=RngState(10), training=True)
             return (y * y).sum()
 
         check_grad(loss, np.random.default_rng(14).random((1, 3, D_PATH)))
 
     def test_path_independence_of_gradients_under_zero_weight(self):
         # with pi_i = 0, path j's gradient is unaffected by path i's output
-        paths = [path_params(seed=24), path_params(seed=25)]
-        conn = GumbelParams.init(1, K, D_PATH, RngState(11))
-        layer = ParallelLayerParams(paths=paths, connection=conn)
+        layer = make_layer("gumbel_v1", seed=3)
+        conn = layer.connection
         x = Tensor(np.random.default_rng(15).random((1, 3, D_PATH)).astype(np.float32))
         pi = np.zeros((1, 3, K + 1), dtype=np.float32)
         pi[..., 1] = 1.0
@@ -252,46 +256,37 @@ class TestRoutingGradients:
         # neutralize it through the combine weights slice
         conn.w_combine.data[:D_PATH, :] = 0.0
         g1 = grads_for_path1()
-        paths[0].wo.data += 0.5
+        layer.paths[0].wo.data += 0.5
         g2 = grads_for_path1()
         for n in g1:
             np.testing.assert_allclose(g1[n], g2[n], atol=1e-7)
 
 
 class TestParallelLayerForward:
-    def make_layer(self, kind, seed=0):
-        paths = [path_params(seed=30 + seed), path_params(seed=40 + seed)]
-        if kind == "share_linear":
-            conn = ShareLinearParams.init(K, D_PATH, D_PATH, RngState(50 + seed))
-            final = ShareLinearParams.init(K, D_PATH, K * D_PATH, RngState(60 + seed))
-            return ParallelLayerParams(paths=paths, connection=conn, final_share=final)
-        variant = 1 if kind == "gumbel_v1" else 2
-        return ParallelLayerParams(paths=paths, connection=GumbelParams.init(variant, K, D_PATH, RngState(50 + seed)))
-
     @pytest.mark.parametrize("kind", ["share_linear", "gumbel_v1", "gumbel_v2"])
     def test_stacking_preserves_shape(self, kind):
         x = Tensor(np.random.default_rng(16).random((1, 3, D_PATH)).astype(np.float32))
         for i in range(3):
-            layer = self.make_layer(kind, seed=i)
-            x, _ = parallel_layer_forward(x, layer, kind, GumbelConfig(), rng=RngState(70 + i), training=True)
+            layer = make_layer(kind, seed=i)
+            x, _ = parallel_layer_forward(x, layer, GumbelConfig(), rng=RngState(70 + i), training=True)
             assert x.shape == (1, 3, D_PATH)
 
     @pytest.mark.parametrize("kind", ["gumbel_v1", "gumbel_v2"])
     def test_one_routing_record_per_forward(self, kind):
         x = Tensor(np.random.default_rng(17).random((1, 3, D_PATH)).astype(np.float32))
-        _, rec = parallel_layer_forward(x, self.make_layer(kind), kind, GumbelConfig(), training=False)
+        _, rec = parallel_layer_forward(x, make_layer(kind), GumbelConfig(), training=False)
         assert rec.pi.shape == (1, 3, K + 1)
 
     def test_share_linear_final_expands(self):
         x = Tensor(np.random.default_rng(18).random((1, 3, D_PATH)).astype(np.float32))
-        y, _ = parallel_layer_forward(x, self.make_layer("share_linear"), "share_linear", GumbelConfig(), final=True)
+        y, _ = parallel_layer_forward(x, make_layer("share_linear", final=True), GumbelConfig())
         assert y.shape == (1, 3, K * D_PATH)
 
     @pytest.mark.parametrize("kind", ["gumbel_v1", "gumbel_v2"])
     def test_gumbel_final_restores_width_by_concat(self, kind):
         x = Tensor(np.random.default_rng(19).random((1, 3, D_PATH)).astype(np.float32))
-        layer = self.make_layer(kind)
-        y, rec = parallel_layer_forward(x, layer, kind, GumbelConfig(), training=False, final=True)
+        layer = make_layer(kind, final=True)
+        y, rec = parallel_layer_forward(x, layer, GumbelConfig(), training=False)
         assert y.shape == (1, 3, K * D_PATH)
         outs = run_paths(x, layer.paths)
         np.testing.assert_allclose(y.data, concat_paths(outs).data, atol=1e-6)
@@ -300,9 +295,9 @@ class TestParallelLayerForward:
     @pytest.mark.parametrize("kind", ["gumbel_v1", "gumbel_v2"])
     def test_final_layer_skips_mixture_but_keeps_pi(self, kind):
         x = Tensor(np.random.default_rng(20).random((2, 3, D_PATH)).astype(np.float32))
-        layer = self.make_layer(kind)
-        y, rec = parallel_layer_forward(x, layer, kind, GumbelConfig(), rng=RngState(5), training=True, final=True)
-        mixed, inner = parallel_layer_forward(x, layer, kind, GumbelConfig(), rng=RngState(5), training=True)
+        layer = make_layer(kind, final=True)
+        y, rec = parallel_layer_forward(x, layer, GumbelConfig(), rng=RngState(5), training=True)
+        mixed, inner = parallel_layer_forward(x, make_layer(kind), GumbelConfig(), rng=RngState(5), training=True)
         np.testing.assert_array_equal(y.data, concat_paths(run_paths(x, layer.paths)).data)
         np.testing.assert_array_equal(rec.pi.data, inner.pi.data)
         assert not np.allclose(mixed.data, y.data[..., :D_PATH])

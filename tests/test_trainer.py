@@ -123,6 +123,9 @@ class TestAdamW:
             TrainConfig(beta2=1.0)
         with pytest.raises(ConfigError):
             TrainConfig.from_dict({"lr": 1e-3, "nope": 1})
+        for bad in ({"sign_entropy": 2}, {"sign_load": 0}, {"lambda_entropy": -0.1}, {"lambda_load": -1}):
+            with pytest.raises(ConfigError, match=next(iter(bad))):
+                TrainConfig(**bad)
 
 
 class TestCosineLr:
