@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from papaformer.blocks import KVCache
+from papaformer.data import PATH_CORPORA
 from papaformer.model import PaPaformerModel, forward
 from papaformer.tensor import RngState, Tensor, cosine_similarity
 
 COMBINED = "combined"
-DOMAIN_PATHS = {"story": 0, "math": 1}  # the path pretrained on each domain's corpus
+DOMAIN_PATHS = {corpus: i for i, corpus in enumerate(PATH_CORPORA)}  # the path pretrained on each domain
 
 
 class AnalysisError(ValueError):

@@ -8,6 +8,7 @@ All functions operate on [B, T, d] activations.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -33,8 +34,17 @@ def read_config(cls, d, prefix: str = ""):
 
     An unknown key, or a scalar field holding a value of another type (a field
     typed ``T | None`` also takes null), raises ConfigError naming the key;
-    ``prefix`` is the mapping's own key path.
+    ``prefix`` is the mapping's own key path. A key of the class's ``RETIRED``
+    mapping, which older manifests still carry, is dropped when it holds the
+    one value that mapping accepts for it, and raises ConfigError otherwise.
     """
+    retired = getattr(cls, "RETIRED", {})
+    for key in sorted(retired.keys() & d.keys()):
+        value, accepted = d[key], retired[key]
+        # bools are ints to Python, so 0 would pass for false without the type test
+        if value != accepted or isinstance(value, bool) != isinstance(accepted, bool):
+            raise ConfigError(f"{prefix}{key}: retired; only {json.dumps(accepted)} is accepted, got {value!r}")
+    d = {k: v for k, v in d.items() if k not in retired}
     unknown = sorted(prefix + k for k in set(d) - set(cls.__dataclass_fields__))
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
@@ -248,24 +258,11 @@ def swiglu_ffn(x: Tensor, params: LayerBlockParams) -> Tensor:
 
 
 def layer_block(
-    x: Tensor,
-    params: LayerBlockParams,
-    max_seq_len: int | None = None,
-    dropout: float = 0.0,
-    rng: RngState | None = None,
-    cache: KVCache | None = None,
+    x: Tensor, params: LayerBlockParams, max_seq_len: int | None = None, cache: KVCache | None = None
 ) -> Tensor:
     """Pre-norm residual layer: x + mha(norm(x)), then h + ffn(norm(h)).
 
-    ``dropout`` masks the FFN output (inverted dropout); it is only used for
-    parallel-path blocks and requires an rng when nonzero. ``cache`` is passed
-    to ``causal_mha``.
+    ``cache`` is passed to ``causal_mha``.
     """
     h = x + causal_mha(rmsnorm(x, params.norm1_scale), params, max_seq_len, cache)
-    f = swiglu_ffn(rmsnorm(h, params.norm2_scale), params)
-    if dropout > 0.0:
-        if rng is None:
-            raise ConfigError("dropout requires an rng stream")
-        keep = (rng.uniform(f.shape) >= dropout).astype(f.data.dtype)
-        f = f * Tensor(keep / (1.0 - dropout))
-    return h + f
+    return h + swiglu_ffn(rmsnorm(h, params.norm2_scale), params)

@@ -34,6 +34,9 @@ from papaformer.blocks import ConfigError
 from papaformer.checkpoint import CheckpointError, load_checkpoint, read_manifest, save_checkpoint
 from papaformer.composer import CompositionError, CompositionPlan, compose, composition_provenance, weight_source
 from papaformer.data import (
+    COMPOSITE_SUB,
+    PATH_CORPORA,
+    PATH_SUB,
     ChunkStore,
     DataError,
     build_chunk_store,
@@ -55,9 +58,8 @@ _CONFIG_SECTIONS = ("model", "train")
 
 ROLES = {
     "baseline": {},
-    "path1": {"corpus": "story", "sub": 60},
-    "path2": {"corpus": "math", "sub": 60},
-    "composite": {"sub": 40},
+    **{f"path{i + 1}": {"corpus": corpus, "sub": PATH_SUB} for i, corpus in enumerate(PATH_CORPORA)},
+    "composite": {"sub": COMPOSITE_SUB},
 }
 
 
@@ -88,11 +90,15 @@ def load_config(ref: str) -> dict:
 
 
 def model_config_from(raw: dict, vocab_size: int | None = None) -> ModelConfig:
+    """The config's model section; ``vocab_size`` is the data's vocab, which replaces the config's."""
     section = dict(raw.get("model") or {})
-    if section.get("vocab_size") in (None, "auto"):
-        if vocab_size is None:
-            raise ConfigError("vocab_size: set explicitly or provide a chunk store to infer from")
+    pinned = section.get("vocab_size")
+    if vocab_size is not None and (pinned in (None, "auto") or type(pinned) is int):
+        if pinned not in (None, "auto", vocab_size):
+            print(f"vocab_size: the config's {pinned} replaced by the data's {vocab_size}", file=sys.stderr)
         section["vocab_size"] = vocab_size
+    elif pinned in (None, "auto"):
+        raise ConfigError("vocab_size: set explicitly or provide a chunk store to infer from")
     return ModelConfig.from_dict(section)
 
 
@@ -136,7 +142,7 @@ def cmd_pretokenize(args) -> int:
     store.save(args.out)
     print(f"wrote {args.out}: vocab={store.tokenizer.vocab_size} seq_len={store.seq_len}")
     for tag in sorted({c.corpus for c in store.chunks}):
-        for sub in (60, 40):
+        for sub in (PATH_SUB, COMPOSITE_SUB):
             for epoch in (1, 2):
                 n = len(store.select(corpus=tag, sub=sub, epoch=epoch))
                 print(f"  {tag} sub{sub} epoch{epoch}: {n} chunks ({n * store.seq_len} tokens)")
@@ -148,11 +154,6 @@ def cmd_train(args) -> int:
     store = ChunkStore.load(args.data)
     cfg = train_config_from(raw, args.seed)
     model_cfg = model_config_from(raw, vocab_size=store.tokenizer.vocab_size)
-    if model_cfg.vocab_size < store.tokenizer.vocab_size:
-        raise ConfigError(
-            f"vocab_size: config has {model_cfg.vocab_size}, "
-            f"below the chunk store's vocab of {store.tokenizer.vocab_size}"
-        )
     chunks = store.select(**ROLES[args.role])
     if not chunks:
         raise DataError(f"role {args.role!r}: chunk store has no matching chunks")

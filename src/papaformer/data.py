@@ -23,6 +23,11 @@ SEQ_LEN_DEFAULT = 256
 CHUNKSTORE_MAGIC = b"PPCH"
 CHUNKSTORE_VERSION = 1
 
+# Path i + 1 pretrains on the PATH_SUB sub-collection of corpus PATH_CORPORA[i];
+# composites train on the COMPOSITE_SUB remainder of every corpus.
+PATH_CORPORA = ("story", "math")
+PATH_SUB, COMPOSITE_SUB = 60, 40
+
 EOS_TOKEN = "<eos>"
 UNK_TOKEN = "<unk>"
 
@@ -195,9 +200,9 @@ def split_collections(chunks: list, rng: RngState) -> tuple:
     sub60 = [chunks[i] for i in order[:n60]]
     sub40 = [chunks[i] for i in order[n60:]]
     for c in sub60:
-        c.sub_collection = 60
+        c.sub_collection = PATH_SUB
     for c in sub40:
-        c.sub_collection = 40
+        c.sub_collection = COMPOSITE_SUB
     return sub60, sub40
 
 

@@ -1,9 +1,9 @@
 """Whole-model assembly: baseline stacks and parallel-path models.
 
-Topology for parallel models: embedding -> n_before layer blocks at d_model
--> down-projection to d_path -> n_parallel_layers parallel layers -> width
-restored to d_model -> n_after layer blocks -> final norm -> lm head.
-Baselines are the same without the parallel core.
+Topology for parallel models: embedding -> layer blocks at d_model ->
+down-projection to d_path -> n_parallel_layers parallel layers -> width
+restored to d_model -> the last layer block, when there are two or more ->
+final norm -> lm head. Baselines are the same without the parallel core.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ from papaformer.parallel import (
 from papaformer.tensor import RngState, Tensor, default_dtype, embedding
 
 CONNECTION_KINDS = ("none", "share_linear", "gumbel_v1", "gumbel_v2")
+# smallest allowed value of each size and layer count
+_LEAST_SIZES = dict.fromkeys(
+    ("vocab_size", "d_model", "d_path", "heads_layer", "heads_path", "ff_layer", "ff_path", "max_seq_len"), 1
+) | {"n_layer_blocks": 0, "n_parallel_layers": 0}
 
 
 @dataclass
@@ -41,11 +45,14 @@ class ModelConfig:
     ff_path: int = 512
     max_seq_len: int = 256
     connection_kind: str = "none"
-    n_before: int | None = None  # layer blocks ahead of the parallel core
     gumbel: GumbelConfig = field(default_factory=GumbelConfig)
-    dropout_path: float = 0.0
+
+    RETIRED = {"n_before": None, "dropout_path": 0.0}  # see blocks.read_config
 
     def __post_init__(self):
+        for key, least in _LEAST_SIZES.items():
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key}: must be at least {least}, got {getattr(self, key)}")
         if self.connection_kind not in CONNECTION_KINDS:
             raise ConfigError(f"connection_kind: unknown value {self.connection_kind!r}")
         if self.connection_kind == "none" and self.n_parallel_layers != 0:
@@ -64,25 +71,15 @@ class ModelConfig:
                 raise ConfigError("heads_path: must divide d_path")
         if self.d_model % self.heads_layer != 0:
             raise ConfigError("heads_layer: must divide d_model")
-        if not (0.0 <= self.dropout_path < 1.0):
-            raise ConfigError("dropout_path: must lie in [0, 1)")
         if isinstance(self.gumbel, dict):
-            gumbel = dict(self.gumbel)
-            # manifests written while GumbelConfig had this field carry it as true
-            if gumbel.pop("eval_deterministic", True) is not True:
-                raise ConfigError("gumbel.eval_deterministic: only true is accepted; evaluation routing is noise-free")
-            self.gumbel = read_config(GumbelConfig, gumbel, "gumbel.")
+            self.gumbel = read_config(GumbelConfig, self.gumbel, "gumbel.")
         elif not isinstance(self.gumbel, GumbelConfig):
             raise ConfigError(f"gumbel: expected a mapping, got {self.gumbel!r}")
 
     def split_blocks(self) -> tuple:
-        """(n_before, n_after) placement of layer blocks around the parallel core."""
+        """(before, after): layer blocks ahead of and behind the parallel core."""
         if self.connection_kind == "none":
             return self.n_layer_blocks, 0
-        if self.n_before is not None:
-            if not (0 <= self.n_before <= self.n_layer_blocks):
-                raise ConfigError("n_before: out of range")
-            return self.n_before, self.n_layer_blocks - self.n_before
         n_after = 1 if self.n_layer_blocks > 1 else 0
         return self.n_layer_blocks - n_after, n_after
 
@@ -135,10 +132,10 @@ def build(config: ModelConfig, rng: RngState | None) -> PaPaformerModel:
     parameter counts and composition provenance only read its names and shapes.
     """
     c = config
-    n_before, n_after = c.split_blocks()
+    before, after = c.split_blocks()
     embed = weight((c.vocab_size, c.d_model), rng)
     blocks_before = [
-        LayerBlockParams.init(c.d_model, c.heads_layer, c.ff_layer, rng) for _ in range(n_before)
+        LayerBlockParams.init(c.d_model, c.heads_layer, c.ff_layer, rng) for _ in range(before)
     ]
     down_proj = None
     parallel_layers = []
@@ -157,7 +154,7 @@ def build(config: ModelConfig, rng: RngState | None) -> PaPaformerModel:
                 conn = GumbelParams.init(variant, c.k_paths, c.d_path, rng)
             parallel_layers.append(ParallelLayerParams(paths=paths, connection=conn, final=final))
     blocks_after = [
-        LayerBlockParams.init(c.d_model, c.heads_layer, c.ff_layer, rng) for _ in range(n_after)
+        LayerBlockParams.init(c.d_model, c.heads_layer, c.ff_layer, rng) for _ in range(after)
     ]
     final_norm_scale = Tensor(np.ones(c.d_model, dtype=default_dtype()), requires_grad=True)
     lm_head = weight((c.d_model, c.vocab_size), rng)
@@ -182,12 +179,11 @@ def forward(
 ) -> tuple:
     """Next-token logits for a [T] or [B, T] id array, plus routing records.
 
-    Training mode draws Gumbel noise (and dropout masks, when configured)
-    from ``rng``; evaluation routes without noise and needs no rng.
-    With a ``cache``, the tokens continue the ``cache.length`` positions
-    already run through it, and logits and records cover the new tokens only;
-    every other layer acts on each position alone, so only attention needs
-    the cache.
+    Training mode draws Gumbel noise from ``rng``; evaluation routes without
+    noise and needs no rng. With a ``cache``, the tokens continue the
+    ``cache.length`` positions already run through it, and logits and records
+    cover the new tokens only; every other layer acts on each position alone,
+    so only attention needs the cache.
     """
     c = model.config
     tokens = np.asarray(tokens)
@@ -203,17 +199,9 @@ def forward(
     records = []
     if c.connection_kind != "none":
         x = x @ model.down_proj
-        dropout = c.dropout_path if training else 0.0
         for layer in model.parallel_layers:
             x, rec = parallel_layer_forward(
-                x,
-                layer,
-                c.gumbel,
-                rng=rng,
-                training=training,
-                max_seq_len=c.max_seq_len,
-                dropout=dropout,
-                cache=cache,
+                x, layer, c.gumbel, rng=rng, training=training, max_seq_len=c.max_seq_len, cache=cache
             )
             records.append(rec)
     for b in model.blocks_after:

@@ -16,18 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from papaformer.blocks import ConfigError, KVCache, layer_block, weight
 from papaformer.tensor import RngState, Tensor, concat, gumbel_noise
 
 
 @dataclass
 class GumbelConfig:
-    """Temperature / sampling behavior of the routing gate."""
+    """Temperature of the routing gate's soft Gumbel-Softmax."""
 
     temperature: float = 1.0
-    hard: bool = False
+
+    RETIRED = {"hard": False, "eval_deterministic": True}  # see blocks.read_config
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -108,16 +107,9 @@ class ParallelLayerParams:
         return out
 
 
-def run_paths(
-    x: Tensor,
-    paths: list,
-    max_seq_len: int | None = None,
-    dropout: float = 0.0,
-    rng: RngState | None = None,
-    cache: KVCache | None = None,
-) -> list:
+def run_paths(x: Tensor, paths: list, max_seq_len: int | None = None, cache: KVCache | None = None) -> list:
     """Run each path block independently on the same input."""
-    return [layer_block(x, p, max_seq_len, dropout=dropout, rng=rng, cache=cache) for p in paths]
+    return [layer_block(x, p, max_seq_len, cache) for p in paths]
 
 
 def concat_paths(outputs: list) -> Tensor:
@@ -131,26 +123,17 @@ def gumbel_softmax(
     rng: RngState | None = None,
     training: bool = True,
 ) -> Tensor:
-    """Gumbel-Softmax over the last axis.
+    """Soft Gumbel-Softmax over the last axis (Jang et al. 2016).
 
     Training mode adds fresh Gumbel noise to the logits before the tempered
     softmax; evaluation adds none, so routing traces are reproducible and a
-    cached decode step routes each position as a full forward would. Hard mode
-    forwards the one-hot argmax while gradients flow through the soft weights
-    (straight-through).
+    cached decode step routes each position as a full forward would.
     """
     if training:
         if rng is None:
             raise ConfigError("training-mode gumbel_softmax requires an rng stream")
         logits = logits + gumbel_noise(logits.shape, rng)
-    soft = (logits * (1.0 / cfg.temperature)).softmax(axis=-1)
-    if not cfg.hard:
-        return soft
-    idx = np.argmax(soft.data, axis=-1)
-    one_hot = np.zeros_like(soft.data)
-    np.put_along_axis(one_hot, idx[..., None], 1.0, axis=-1)
-    # straight-through: forward the one-hot, backprop through the soft weights
-    return soft + Tensor(one_hot - soft.data)
+    return (logits * (1.0 / cfg.temperature)).softmax(axis=-1)
 
 
 def _mixture(outputs: list, x_comb: Tensor, pi: Tensor) -> Tensor:
@@ -229,7 +212,6 @@ def parallel_layer_forward(
     rng: RngState | None = None,
     training: bool = True,
     max_seq_len: int | None = None,
-    dropout: float = 0.0,
     cache: KVCache | None = None,
 ) -> tuple:
     """One parallel layer: run paths, then fuse with the layer's connection.
@@ -239,9 +221,7 @@ def parallel_layer_forward(
     every layer, for the auxiliary losses and routing traces. ``cache`` is
     passed to every path's attention.
     """
-    outputs = run_paths(
-        x, params.paths, max_seq_len, dropout=dropout, rng=rng if dropout > 0 else None, cache=cache
-    )
+    outputs = run_paths(x, params.paths, max_seq_len, cache)
     conn = params.connection
     if isinstance(conn, ShareLinearParams):
         y = concat_paths(outputs) @ conn.w  # y = W [f_1 ; ... ; f_k]

@@ -19,7 +19,7 @@ import numpy as np
 
 from papaformer.blocks import ConfigError, read_config
 from papaformer.checkpoint import save_checkpoint
-from papaformer.data import ChunkStore, make_batches
+from papaformer.data import COMPOSITE_SUB, PATH_CORPORA, PATH_SUB, ChunkStore, make_batches
 from papaformer.losses import cross_entropy, total_loss
 from papaformer.model import ModelConfig, PaPaformerModel, build, forward
 from papaformer.tensor import NonFiniteError, RngState
@@ -303,7 +303,7 @@ def run_phase2(
     out_dir: str,
     build_seed: int = 0,
 ) -> tuple:
-    """Pretrain paths on the 60% sub-collections, compose, train on the 40%.
+    """Pretrain paths on their corpora's 60% sub-collections, compose, train on the 40%.
 
     ``target_configs`` maps run names to parallel ModelConfigs; each target's
     paths must have as many layer blocks as the target has parallel layers,
@@ -321,20 +321,16 @@ def run_phase2(
     path_ckpts = {}
     for depth in depths:
         pc = ModelConfig.from_dict({**path_config.to_dict(), "n_layer_blocks": depth})
-        for role, corpus in (("path1", "story"), ("path2", "math")):
-            name = f"{role}_d{depth}"
+        for i, corpus in enumerate(PATH_CORPORA):
+            name = f"path{i + 1}_d{depth}"
             model = build(pc, RngState(build_seed))
             ckpt_path = os.path.join(out_dir, f"{name}.ppck")
-            reports[name] = train(model, store.select(corpus=corpus, sub=60), cfg, checkpoint_path=ckpt_path)
-            path_ckpts[(depth, role)] = ckpt_path
+            reports[name] = train(model, store.select(corpus=corpus, sub=PATH_SUB), cfg, checkpoint_path=ckpt_path)
+            path_ckpts.setdefault(depth, []).append(ckpt_path)
             artifacts[name] = ckpt_path
-    sub40 = store.select(sub=40)
+    sub40 = store.select(sub=COMPOSITE_SUB)
     for run_name, target in target_configs.items():
-        depth = target.n_parallel_layers
-        plan = CompositionPlan(
-            path_checkpoints=[path_ckpts[(depth, "path1")], path_ckpts[(depth, "path2")]],
-            target_config=target,
-        )
+        plan = CompositionPlan(path_checkpoints=path_ckpts[target.n_parallel_layers], target_config=target)
         composite = compose(plan, RngState(build_seed + 1))
         composed_path = os.path.join(out_dir, f"{run_name}_composed.ppck")
         save_checkpoint(composed_path, composite, provenance=composition_provenance(target))
@@ -342,7 +338,7 @@ def run_phase2(
         ckpt_path = os.path.join(out_dir, f"{run_name}.ppck")
         report = train(composite, sub40, cfg, checkpoint_path=ckpt_path)
         # composite training must touch only the 40% sub-collections
-        bad = [c for c in report.consumed if c[1] != 40]
+        bad = [c for c in report.consumed if c[1] != COMPOSITE_SUB]
         if bad:
             raise ConfigError(f"composite run {run_name} consumed non-40% chunks: {bad[:3]}")
         artifacts[run_name] = ckpt_path

@@ -253,14 +253,3 @@ class TestLayerBlock:
         p = make_params(d=4, heads=2, ff=6, seed=1)
         rng = np.random.default_rng(12)
         check_grad(lambda x: (layer_block(x, p).softmax(axis=-1)[..., 0]).sum(), rng.random((1, 3, 4)) * 2 - 1)
-
-    def test_dropout_masks_ffn_only_when_enabled(self):
-        p = make_params()
-        x = Tensor(np.random.default_rng(13).random((1, 4, 8)).astype(np.float32))
-        a = layer_block(x, p, dropout=0.0).data
-        b = layer_block(x, p, dropout=0.5, rng=RngState(3)).data
-        c = layer_block(x, p, dropout=0.5, rng=RngState(3)).data
-        assert not np.array_equal(a, b)
-        np.testing.assert_array_equal(b, c)
-        with pytest.raises(blocks.ConfigError):
-            layer_block(x, p, dropout=0.5)

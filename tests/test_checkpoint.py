@@ -87,15 +87,20 @@ class TestRoundTrip:
         assert ckpt.provenance["embed"] == "reused"
         assert ckpt.provenance["lm_head"] == "fresh"
 
-    def test_manifest_with_eval_deterministic_loads(self, model, tmp_path):
-        # every manifest written while GumbelConfig had an eval_deterministic field carries it as true
+    def test_parent_manifest_with_retired_keys_loads(self, model, tmp_path):
+        # manifests written before the retired options were removed carry each at its one accepted value
         p = str(tmp_path / "old.ppck")
         save_checkpoint(p, model)
-        rewrite_manifest(p, lambda man: man["model_config"]["gumbel"].update(eval_deterministic=True))
+
+        def add_retired(man):
+            man["model_config"].update(n_before=None, dropout_path=0.0)
+            man["model_config"]["gumbel"] = {"temperature": 1.0, "hard": False, "eval_deterministic": True}
+
+        rewrite_manifest(p, add_retired)
         again = load_checkpoint(p).model
-        assert again.config == model.config
+        assert again.config == model.config == small_config()
         for name, t in model.named_params().items():
-            assert np.array_equal(t.data, again.named_params()[name].data), name
+            assert t.data.tobytes() == again.named_params()[name].data.tobytes(), name
 
 
 class TestManifest:

@@ -107,12 +107,12 @@ class TestTrain:
         small.write_text(TINY_PATH.replace("model:\n", "model:\n  vocab_size: 10\n"))
         rc = main(["train", "--config", str(small), "--data", str(workdir / "store.ppch"), "--role", "path1",
                    "--out", str(workdir / "small.ppck")])
-        assert rc == EXIT_CONFIG
+        assert rc == 0
         store_vocab = ChunkStore.load(str(workdir / "store.ppch")).tokenizer.vocab_size
         assert store_vocab > 10
+        assert read_manifest(str(workdir / "small.ppck"))["model_config"]["vocab_size"] == store_vocab
         err = capsys.readouterr().err
-        assert "has 10," in err and f"vocab of {store_vocab}" in err
-        assert not (workdir / "small.ppck").exists()
+        assert "config's 10" in err and f"data's {store_vocab}" in err
 
     @pytest.mark.parametrize("entry", ["sign_entropy: 2", "lambda_load: -1", "grad_clip: abc"])
     def test_bad_train_value_exits_config(self, workdir, capsys, entry):
@@ -204,6 +204,17 @@ class TestCompose:
         ])
         assert rc == 0
         assert len(calls) == 1
+
+    def test_pinned_vocab_follows_path_checkpoints(self, workdir, capsys):
+        pinned = workdir / "gumbel_pinned.yaml"
+        pinned.write_text(TINY_MODEL.format(n_parallel=1, kind="gumbel_v1").replace("model:\n", "model:\n  vocab_size: 50257\n"))
+        out = str(workdir / "pinned.ppck")
+        assert main(["compose", str(workdir / "path1.ppck"), str(workdir / "path2.ppck"),
+                     "--config", str(pinned), "--out", out]) == 0
+        path_vocab = read_manifest(str(workdir / "path1.ppck"))["model_config"]["vocab_size"]
+        assert read_manifest(out)["model_config"]["vocab_size"] == path_vocab
+        err = capsys.readouterr().err
+        assert "config's 50257" in err and f"data's {path_vocab}" in err
 
     def test_env_seed_overrides_compose_seed(self, workdir, monkeypatch):
         paths = [str(workdir / "path1.ppck"), str(workdir / "path2.ppck")]
@@ -302,8 +313,22 @@ class TestConfigLoading:
             ("model:\n  vocab_size: 10\n  d_model: abc\n", "d_model"),
             ("model:\n  vocab_size: 10\n  gumbel: 3\n", "gumbel"),
             ("model: 3\n", "'model' must be a mapping"),
+            ("model:\n  vocab_size: 10\n  n_before: 1\n", "n_before"),
+            ("model:\n  vocab_size: 10\n  dropout_path: 0.1\n", "dropout_path"),
+            ("model:\n  vocab_size: 10\n  gumbel: {hard: true}\n", "gumbel.hard"),
+            ("model:\n  vocab_size: 10\n  gumbel: {hard: 0}\n", "gumbel.hard"),
+            ("model:\n  vocab_size: 10\n  heads_layer: 0\n", "heads_layer"),
+            ("model:\n  vocab_size: 10\n  d_model: -8\n", "d_model"),
+            ("model:\n  vocab_size: 0\n", "vocab_size"),
+            ("model:\n  vocab_size: 10\n  max_seq_len: 0\n", "max_seq_len"),
+            ("model:\n  vocab_size: 10\n  ff_layer: 0\n", "ff_layer"),
+            ("model:\n  vocab_size: 10\n  n_layer_blocks: -1\n", "n_layer_blocks"),
         ],
-        ids=["gumbel-key-typo", "non-integer-size", "non-mapping-gumbel", "non-mapping-section"],
+        ids=[
+            "gumbel-key-typo", "non-integer-size", "non-mapping-gumbel", "non-mapping-section",
+            "retired-n_before", "retired-dropout_path", "retired-gumbel-hard-true", "retired-gumbel-hard-0",
+            "zero-heads", "negative-width", "zero-vocab", "zero-max-seq-len", "zero-ffn", "negative-layer-count",
+        ],
     )
     def test_malformed_model_config_exits_config(self, tmp_path, capsys, text, key):
         p = tmp_path / "bad.yaml"

@@ -24,7 +24,6 @@ def gumbel_config():
         ff_path=16,
         max_seq_len=8,
         connection_kind="gumbel_v1",
-        dropout_path=0.1,
     )
 
 

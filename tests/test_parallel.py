@@ -134,16 +134,6 @@ class TestGumbelSoftmax:
         with pytest.raises(ConfigError):
             gumbel_softmax(Tensor(np.zeros((1, 3))), GumbelConfig(), training=True)
 
-    def test_hard_mode_one_hot_forward_soft_backward(self):
-        logits = Tensor(np.array([[2.0, 1.0, 0.5]], dtype=np.float32), requires_grad=True)
-        pi = gumbel_softmax(logits, GumbelConfig(hard=True), training=False)
-        np.testing.assert_array_equal(pi.data, [[1.0, 0.0, 0.0]])
-        pi[0, 0].backward()
-        soft = gumbel_softmax(Tensor(logits.data), GumbelConfig(), training=False).data
-        expected = soft[0] * (np.array([1.0, 0, 0]) - soft[0, 0] * np.ones(3))
-        # straight-through: gradient equals the soft softmax jacobian row
-        np.testing.assert_allclose(logits.grad[0], soft[0, 0] * (np.eye(3)[0] - soft[0]), atol=1e-6)
-
     def test_invalid_temperature(self):
         with pytest.raises(ConfigError):
             GumbelConfig(temperature=0.0)
