@@ -224,7 +224,8 @@ def generate(
     result = GenerationResult(tokens=None, new_tokens=[])
     for _ in range(max_new_tokens):
         if len(tokens) > limit:
-            warnings.warn(f"context of {len(tokens)} tokens truncated to the last {limit}")
+            # the text is the same at every step, so the default warning filter shows it once
+            warnings.warn(f"context truncated to the last {limit} tokens")
             cache, fresh = None, tokens[-limit:]
         else:
             fresh = tokens[cache.length :]

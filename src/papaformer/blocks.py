@@ -20,6 +20,7 @@ RMSNORM_EPS = 1e-5
 ROPE_BASE = 10000.0
 INIT_STD = 0.02
 ATTN_MASK_VALUE = -1e9
+ATTN_TILE = 64  # query rows per causal attention tile
 
 
 class ConfigError(ValueError):
@@ -104,9 +105,22 @@ class LayerBlockParams:
 
 
 def rmsnorm(x: Tensor, scale: Tensor, eps: float = RMSNORM_EPS) -> Tensor:
-    """scale * x / sqrt(mean(x^2) + eps) over the last axis."""
-    ms = (x * x).mean(axis=-1, keepdims=True)
-    return x / (ms + eps).sqrt() * scale
+    """scale * x / sqrt(mean(x^2) + eps) over the last axis.
+
+    One tape node. With r = sqrt(mean(x^2) + eps) and x_hat = x / r, the
+    backward pass is dx = (gs - x_hat * mean(gs * x_hat)) / r for gs = g * scale,
+    and dscale = g * x_hat summed over the leading axes of x; scale is [d].
+    """
+    rms = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1]) + eps)
+    x_hat = x.data / rms
+
+    def bwd(g):
+        gs = g * scale.data
+        dx = gs - x_hat * (gs * x_hat).mean(axis=-1, keepdims=True)
+        dx /= rms
+        return ((x, dx), (scale, (g * x_hat).reshape(-1, x.shape[-1]).sum(axis=0)))
+
+    return Tensor(x_hat * scale.data, _parents=(x, scale), _backward=bwd)
 
 
 def rope_tables(positions: np.ndarray, head_dim: int, base: float = ROPE_BASE):
@@ -164,9 +178,12 @@ def _causal_softmax(q: np.ndarray, k: np.ndarray) -> np.ndarray:
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, kv: tuple | None = None) -> Tensor:
     """Causal softmax(q k^T / sqrt(head_dim)) v of [B, T, heads, head_dim] inputs, as [B, T, d].
 
-    One tape node. It keeps the probabilities P [B, heads, T, S] for the
-    backward pass instead of recomputing them, the store side of the
-    trade-off analysed in FlashAttention (Dao et al. 2022).
+    One tape node. The queries run in tiles of ATTN_TILE rows, and each tile
+    scores only the keys at or before its last position: the fully masked key
+    tiles are skipped, the causal tiling of FlashAttention (Dao et al. 2022).
+    The node keeps each tile's probabilities P [B, heads, rows, end] for the
+    backward pass instead of recomputing them, the store side of the same
+    paper's trade-off. Up to ATTN_TILE queries run as one tile over all keys.
 
     With a K/V cache, ``kv`` holds the keys and values of all S positions as
     head-major [B, heads, S, head_dim] arrays, of which ``k`` and ``v`` are the
@@ -176,17 +193,34 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, kv: tuple | None = None) -
     b, t, heads, head_dim = q.shape
     qh = q.data.transpose(0, 2, 1, 3)
     kh, vh = kv if kv is not None else (z.data.transpose(0, 2, 1, 3) for z in (k, v))
-    p = _causal_softmax(qh, kh)
-    out = (p @ vh).transpose(0, 2, 1, 3).reshape(b, t, heads * head_dim)
+    s = kh.shape[-2]
+    # (first row, one past the last row, one past the last visible key) per tile
+    tiles = [(lo, min(lo + ATTN_TILE, t), s - t + min(lo + ATTN_TILE, t)) for lo in range(0, t, ATTN_TILE)]
+    probs = [_causal_softmax(qh[..., lo:hi, :], kh[..., :end, :]) for lo, hi, end in tiles]
+    ctx = [p @ vh[..., :end, :] for p, (_, _, end) in zip(probs, tiles)]
+    outh = ctx[0] if len(ctx) == 1 else np.concatenate(ctx, axis=-2)
+    out = outh.transpose(0, 2, 1, 3).reshape(b, t, heads * head_dim)
 
     def bwd(g):
         gh = g.reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
-        dv = np.swapaxes(p, -1, -2) @ gh
-        dp = gh @ np.swapaxes(vh, -1, -2)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-        ds *= 1.0 / math.sqrt(head_dim)
-        dq = ds @ kh
-        dk = np.swapaxes(ds, -1, -2) @ qh
+        dq, dk, dv = [], None, None
+        # the last tile sees every key, so its dk and dv are full-length
+        for p, (lo, hi, end) in zip(reversed(probs), reversed(tiles)):
+            gt = gh[..., lo:hi, :]
+            tile_dv = np.swapaxes(p, -1, -2) @ gt
+            # dP, turned in place into dS = P * (dP - rowsum(dP * P)) / sqrt(head_dim)
+            ds = gt @ np.swapaxes(vh[..., :end, :], -1, -2)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= 1.0 / math.sqrt(head_dim)
+            dq.append(ds @ kh[..., :end, :])
+            tile_dk = np.swapaxes(ds, -1, -2) @ qh[..., lo:hi, :]
+            if dk is None:
+                dk, dv = tile_dk, tile_dv
+            else:
+                dk[..., :end, :] += tile_dk
+                dv[..., :end, :] += tile_dv
+        dq = dq[0] if len(dq) == 1 else np.concatenate(dq[::-1], axis=-2)
         grads = ((q, dq), (k, dk[..., -t:, :]), (v, dv[..., -t:, :]))
         return tuple((z, dz.transpose(0, 2, 1, 3)) for z, dz in grads)
 

@@ -214,11 +214,24 @@ class Tensor:
         return Tensor(a.data / b.data, _parents=(a, b), _backward=bwd)
 
     def matmul(self, other: "Tensor") -> "Tensor":
-        """Matrix product; supports batched operands with matching batch dims."""
+        """Matrix product; supports batched operands with matching batch dims.
+
+        An [..., d] activation times a [d, e] weight runs as one flat GEMM over
+        the rows, forward and for the weight gradient.
+        """
         other = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self, other
         if a.ndim < 1 or b.ndim < 1 or a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
             raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
+        if a.ndim > 2 and b.ndim == 2:
+            a2 = a.data.reshape(-1, a.shape[-1])
+
+            def flat_bwd(g):
+                g2 = g.reshape(-1, b.shape[1])
+                return ((a, (g2 @ b.data.T).reshape(a.shape)), (b, a2.T @ g2))
+
+            out = (a2 @ b.data).reshape(*a.shape[:-1], b.shape[1])
+            return Tensor(out, _parents=(a, b), _backward=flat_bwd)
         out_data = a.data @ b.data
 
         def bwd(g):

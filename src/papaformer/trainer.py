@@ -91,7 +91,20 @@ class OptimizerState:
 
 
 def adamw_step(params: dict, state: OptimizerState, lr_t: float, cfg: TrainConfig) -> None:
-    """In-place decoupled AdamW update; raises on non-finite gradients."""
+    """In-place decoupled AdamW update.
+
+    A non-finite gradient raises NonFiniteError before any tensor changes.
+
+    Per tensor, with scalars taking the parameter's dtype:
+    m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
+    p -= (lr (m / bc1)) / (sqrt(v / bc2) + eps), then p -= (lr wd) p.
+    Each product and quotient runs in that order through two scratch
+    buffers, so the update is the same bit for bit as the expression
+    evaluated with temporaries.
+    """
+    for name, p in params.items():
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            raise NonFiniteError(f"non-finite gradient for {name}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1**t
@@ -100,20 +113,24 @@ def adamw_step(params: dict, state: OptimizerState, lr_t: float, cfg: TrainConfi
         g = p.grad
         if g is None:
             continue
-        if not np.all(np.isfinite(g)):
-            state.step -= 1
-            raise NonFiniteError(f"non-finite gradient for {name}")
         m = state.m[name]
         v = state.v[name]
+        step, denom = np.empty_like(p.data), np.empty_like(p.data)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(g, 1.0 - cfg.beta1, out=step)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.data -= np.asarray(lr_t * m_hat / (np.sqrt(v_hat) + cfg.adam_eps), dtype=p.data.dtype)
+        np.multiply(g, 1.0 - cfg.beta2, out=step)
+        step *= g
+        v += step
+        np.divide(m, bc1, out=step)
+        step *= lr_t
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += cfg.adam_eps
+        step /= denom
+        p.data -= step
         if cfg.weight_decay > 0:
-            p.data -= np.asarray(lr_t * cfg.weight_decay * p.data, dtype=p.data.dtype)
+            p.data -= np.multiply(p.data, lr_t * cfg.weight_decay, out=step)
 
 
 def cosine_lr(step: int, total_steps: int, lr_max: float, warmup_steps: int = 0) -> float:

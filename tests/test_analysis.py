@@ -91,6 +91,14 @@ class TestRoutingTrace:
         with pytest.raises(AnalysisError, match="position 7"):
             trace_routing(gumbel_model, [1, 2, 3], position=7)
 
+    def test_truncation_warns_once_under_default_filter(self, gumbel_model):
+        # a 4-token prompt at max_seq_len 16 truncates on 11 of 24 steps
+        for action, count in (("always", 11), ("default", 1)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                generate(gumbel_model, PROMPT[:4], 24)
+            assert [str(w.message) for w in caught] == ["context truncated to the last 16 tokens"] * count
+
     def test_empty_prompt(self, gumbel_model):
         with pytest.raises(AnalysisError, match="empty prompt"):
             trace_routing(gumbel_model, np.array([], dtype=np.int64))

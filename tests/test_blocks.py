@@ -11,6 +11,13 @@ from papaformer.tensor import RngState, Tensor
 from fdcheck import check_grad
 
 
+@pytest.fixture
+def float64():
+    T.set_default_dtype(np.float64)
+    yield
+    T.set_default_dtype(np.float32)
+
+
 def make_params(d=8, heads=2, ff=12, seed=0):
     return LayerBlockParams.init(d, heads, ff, RngState(seed))
 
@@ -40,6 +47,22 @@ class TestRmsNorm:
         rng = np.random.default_rng(0)
         scale = Tensor((rng.random(6) + 0.5).astype(np.float32))
         check_grad(lambda x: (rmsnorm(x, scale) * rmsnorm(x, scale)).sum(), rng.random((3, 6)) * 4 - 2)
+
+    def test_matches_formula_float64(self):
+        rng = np.random.default_rng(20)
+        x0, s0 = rng.normal(size=(2, 3, 6)), rng.normal(size=6)
+        want = s0 * x0 / np.sqrt((x0 * x0).mean(axis=-1, keepdims=True) + blocks.RMSNORM_EPS)
+        np.testing.assert_allclose(rmsnorm(Tensor(x0), Tensor(s0)).data, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("wrt", ["x", "scale"])
+    def test_grad_float64(self, wrt, float64):
+        rng = np.random.default_rng(21)
+        x0, s0 = rng.normal(size=(2, 3, 6)), rng.normal(size=6)
+        probe = Tensor(rng.normal(size=(2, 3, 6)))
+        if wrt == "x":
+            check_grad(lambda x: (rmsnorm(x, Tensor(s0)) * probe).sum(), x0, h=1e-5, tol=1e-6)
+        else:
+            check_grad(lambda s: (rmsnorm(Tensor(x0), s) * probe).sum(), s0, h=1e-5, tol=1e-6)
 
 
 class TestRope:
@@ -189,6 +212,73 @@ class TestCausalMha:
                 )
         finally:
             T.set_default_dtype(np.float32)
+
+
+def loop_attention(q, k, v):
+    """Per-row float64 reference of causal attention for q, k, v [B, T, heads, head_dim] at positions 0..T-1."""
+    b, t, heads, hd = q.shape
+    out = np.zeros((b, t, heads, hd))
+    for bi in range(b):
+        for h in range(heads):
+            for i in range(t):
+                s = k[bi, : i + 1, h] @ q[bi, i, h] / np.sqrt(hd)
+                w = np.exp(s - s.max())
+                out[bi, i, h] = w @ v[bi, : i + 1, h] / w.sum()
+    return out.reshape(b, t, heads * hd)
+
+
+def head_major(*arrays):
+    return tuple(np.asarray(a).transpose(0, 2, 1, 3) for a in arrays)
+
+
+class TestTiledAttention:
+    """150 queries run as tiles of 64, 64 and 22 rows; 80 cached queries as 64 and 16."""
+
+    LENGTH, CACHED = 150, 70
+
+    def qkv(self, seed, dtype=np.float64):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=(1, self.LENGTH, 2, 4)).astype(dtype) for _ in range(3)]
+
+    def test_matches_per_row_loop_reference(self):
+        assert self.LENGTH > 2 * blocks.ATTN_TILE and self.LENGTH - self.CACHED > blocks.ATTN_TILE
+        q, k, v = self.qkv(30, np.float32)
+        ref = loop_attention(*(z.astype(np.float64) for z in (q, k, v)))
+        got = blocks.causal_attention(Tensor(q), Tensor(k), Tensor(v)).data
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-6)
+        # the last 80 positions as queries over a K/V cache of all 150
+        c = self.CACHED
+        kv = head_major(k, v)
+        cached = blocks.causal_attention(Tensor(q[:, c:]), Tensor(k[:, c:]), Tensor(v[:, c:]), kv).data
+        np.testing.assert_allclose(cached, ref[:, c:], rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("wrt", [0, 1, 2], ids=["q", "k", "v"])
+    def test_grad_float64(self, wrt, float64):
+        qkv = self.qkv(31)
+        probe = Tensor(np.random.default_rng(32).normal(size=(1, self.LENGTH, 8)))
+
+        def loss(z):
+            args = [Tensor(a) for a in qkv]
+            args[wrt] = z
+            return (blocks.causal_attention(*args) * probe).sum()
+
+        check_grad(loss, qkv[wrt], h=1e-5, tol=1e-6)
+
+    @pytest.mark.parametrize("wrt", [0, 1, 2], ids=["q", "k", "v"])
+    def test_cached_grad_float64(self, wrt, float64):
+        # a 70-token prompt in the cache, then 80 new tokens; gradients reach only the new ones
+        c = self.CACHED
+        qkv = self.qkv(33)
+        probe = Tensor(np.random.default_rng(34).normal(size=(1, self.LENGTH - c, 8)))
+
+        def loss(z):
+            new = [Tensor(a[:, c:]) for a in qkv]
+            new[wrt] = z
+            kv = tuple(np.concatenate(pair, axis=2) for pair in zip(head_major(qkv[1][:, :c], qkv[2][:, :c]),
+                                                                    head_major(new[1].data, new[2].data)))
+            return (blocks.causal_attention(*new, kv) * probe).sum()
+
+        check_grad(loss, qkv[wrt][:, c:], h=1e-5, tol=1e-6)
 
 
 class TestSwiglu:

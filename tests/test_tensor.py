@@ -49,6 +49,23 @@ class TestMatmul:
         check_grad(lambda a: (a @ Tensor(b0)).sum(), a0)
 
 
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 3, 2, 4)], ids=["BTd", "BThd"])
+    @pytest.mark.parametrize("wrt", ["activation", "weight"])
+    def test_flat_weight_gemm_grad_float64(self, shape, wrt):
+        T.set_default_dtype(np.float64)
+        try:
+            rng = np.random.default_rng(5)
+            a0, w0 = rng.normal(size=shape), rng.normal(size=(4, 5))
+            probe = Tensor(rng.normal(size=(*shape[:-1], 5)))
+            np.testing.assert_allclose((Tensor(a0) @ Tensor(w0)).data, a0 @ w0, rtol=1e-12)
+            if wrt == "activation":
+                check_grad(lambda a: ((a @ Tensor(w0)) * probe).sum(), a0, h=1e-5, tol=1e-6)
+            else:
+                check_grad(lambda w: ((Tensor(a0) @ w) * probe).sum(), w0, h=1e-5, tol=1e-6)
+        finally:
+            T.set_default_dtype(np.float32)
+
+
 class TestSoftmax:
     def test_uniform(self):
         np.testing.assert_allclose(Tensor([0.0, 0.0, 0.0]).softmax().data, [1 / 3] * 3, atol=1e-7)

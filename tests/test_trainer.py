@@ -111,10 +111,49 @@ class TestAdamW:
             theta -= cfg.lr * m_hat / (math.sqrt(v_hat) + cfg.adam_eps)
         assert params["w"].data[0] == pytest.approx(theta, abs=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_expression_with_temporaries(self, dtype):
+        cfg = tiny_cfg(weight_decay=0.1)
+        rng = np.random.default_rng(7)
+        params = {n: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                  for n, s in (("w", (6, 5)), ("b", (5,)), ("t", (2, 3, 4)))}
+        ref = {n: p.data.copy() for n, p in params.items()}
+        state = OptimizerState.init(params)
+        ref_m = {n: np.zeros_like(a) for n, a in ref.items()}
+        ref_v = {n: np.zeros_like(a) for n, a in ref.items()}
+        for t in range(1, 5):
+            lr_t = cosine_lr(t - 1, 4, cfg.lr, warmup_steps=1)
+            for p in params.values():
+                p.zero_grad()
+                for _ in range(2):  # two accumulated micro-batches
+                    (p * Tensor(rng.normal(size=p.shape).astype(dtype) * 10.0 ** rng.uniform(-4, 1))).sum().backward()
+            adamw_step(params, state, lr_t, cfg)
+            for n, p in params.items():
+                g, m, v, w = p.grad, ref_m[n], ref_v[n], ref[n]
+                m *= cfg.beta1
+                m += (1.0 - cfg.beta1) * g
+                v *= cfg.beta2
+                v += (1.0 - cfg.beta2) * g * g
+                m_hat = m / (1.0 - cfg.beta1**t)
+                v_hat = v / (1.0 - cfg.beta2**t)
+                w -= np.asarray(lr_t * m_hat / (np.sqrt(v_hat) + cfg.adam_eps), dtype=w.dtype)
+                w -= np.asarray(lr_t * cfg.weight_decay * w, dtype=w.dtype)
+                assert p.data.tobytes() == w.tobytes(), (n, t)
+                assert state.m[n].tobytes() == m.tobytes() and state.v[n].tobytes() == v.tobytes(), (n, t)
+
     def test_nan_gradient_aborts(self):
         params = self.one_param(1.0, float("nan"))
         with pytest.raises(NonFiniteError):
             adamw_step(params, OptimizerState.init(params), lr_t=1e-3, cfg=tiny_cfg())
+
+    def test_nan_gradient_leaves_every_tensor_untouched(self):
+        params = {**self.one_param(1.0, 1.0), "z": self.one_param(1.0, float("nan"))["w"]}
+        state = OptimizerState.init(params)
+        with pytest.raises(NonFiniteError, match="for z"):
+            adamw_step(params, state, lr_t=1e-3, cfg=tiny_cfg())
+        assert state.step == 0
+        np.testing.assert_array_equal(params["w"].data, 1.0)
+        np.testing.assert_array_equal(state.m["w"], 0.0)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
