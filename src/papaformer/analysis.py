@@ -7,6 +7,10 @@ path's contribution is compared to the combined output by cosine similarity,
 averaged over prompt positions. Utilization aggregates many traces into the
 per-path selection shares and a domain accuracy where combined selections
 count as incorrect.
+
+Every forward here runs under ``no_grad``: nothing is backpropagated, so no
+tape is recorded. The traces run the model only up to its last parallel
+layer (``model.trunk``), where their records are complete.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ import numpy as np
 
 from papaformer.blocks import KVCache
 from papaformer.data import PATH_CORPORA
-from papaformer.model import PaPaformerModel, forward
-from papaformer.tensor import RngState, Tensor, cosine_similarity
+from papaformer.model import PaPaformerModel, forward, trunk
+from papaformer.tensor import RngState, Tensor, cosine_similarity, no_grad
 
 COMBINED = "combined"
 DOMAIN_PATHS = {corpus: i for i, corpus in enumerate(PATH_CORPORA)}  # the path pretrained on each domain
@@ -85,7 +89,8 @@ def trace_routing(model: PaPaformerModel, prompt_tokens: np.ndarray, position: i
     pos = len(tokens) - 1 if position is None else position
     if not 0 <= pos < len(tokens):
         raise AnalysisError(f"probe position {pos} is outside the {len(tokens)}-token prompt")
-    _, records = forward(model, tokens[None, :], rng=None, training=False)
+    with no_grad():
+        _, records = trunk(model, tokens)
     pis = [rec.pi.data[0, pos].copy() for rec in records]
     selections = [int(np.argmax(pi)) for pi in pis]  # np.argmax breaks ties at the lowest index
     return RoutingTrace(
@@ -109,7 +114,8 @@ def trace_dominance(model: PaPaformerModel, prompt_tokens: np.ndarray) -> Domina
             f"dominance traces need a share_linear model, got {model.config.connection_kind!r}"
         )
     tokens = _prompt_array(prompt_tokens)
-    _, records = forward(model, tokens[None, :], rng=None, training=False)
+    with no_grad():
+        _, records = trunk(model, tokens)
     d_path = model.config.d_path
     dominant, cosines = [], []
     for rec, layer in zip(records, model.parallel_layers):
@@ -229,7 +235,8 @@ def generate(
             cache, fresh = None, tokens[-limit:]
         else:
             fresh = tokens[cache.length :]
-        logits, _ = forward(model, np.asarray(fresh, dtype=np.int64), rng=None, training=False, cache=cache)
+        with no_grad():
+            logits, _ = forward(model, np.asarray(fresh, dtype=np.int64), cache=cache)
         probs = _softmax(logits.data[-1])
         order = np.argsort(-probs)
         if mode == "greedy" or temperature <= 0:

@@ -123,16 +123,37 @@ def rmsnorm(x: Tensor, scale: Tensor, eps: float = RMSNORM_EPS) -> Tensor:
     return Tensor(x_hat * scale.data, _parents=(x, scale), _backward=bwd)
 
 
-def rope_tables(positions: np.ndarray, head_dim: int, base: float = ROPE_BASE):
-    """cos/sin rotation tables for the given positions, shaped [T, 1, hd/2, 1]."""
+def _rotation(positions: np.ndarray, head_dim: int) -> tuple:
+    """cos/sin of pos * theta_j, computed in float64, as float32 [T, 1, hd/2, 1] arrays."""
+    j = np.arange(head_dim // 2, dtype=np.float64)
+    theta = ROPE_BASE ** (-2.0 * j / head_dim)
+    angles = np.asarray(positions, dtype=np.float64)[:, None] * theta[None, :]
+    return np.cos(angles).astype(np.float32)[:, None, :, None], np.sin(angles).astype(np.float32)[:, None, :, None]
+
+
+_ROPE_TABLES = {}  # head_dim -> _rotation(0..n-1, head_dim)
+
+
+def rope_tables(positions: np.ndarray, head_dim: int) -> tuple:
+    """cos/sin rotation tables for the given positions, shaped [T, 1, hd/2, 1].
+
+    Integer positions take their rows from one table per head_dim, which
+    grows to cover the largest position asked for; since each entry is the
+    elementwise pos * theta_j, a row does not depend on the table's length.
+    Other positions are rotated as given.
+    """
     if head_dim % 2 != 0:
         raise ConfigError(f"head_dim {head_dim} must be even for rotary embeddings")
-    j = np.arange(head_dim // 2, dtype=np.float64)
-    theta = base ** (-2.0 * j / head_dim)
-    angles = np.asarray(positions, dtype=np.float64)[:, None] * theta[None, :]
-    cos = np.cos(angles).astype(np.float32)[:, None, :, None]
-    sin = np.sin(angles).astype(np.float32)[:, None, :, None]
-    return cos, sin
+    positions = np.asarray(positions)
+    if positions.dtype.kind not in "iu":
+        return _rotation(positions, head_dim)
+    need = int(positions.max(initial=-1)) + 1
+    table = _ROPE_TABLES.get(head_dim)
+    if table is None or need > len(table[0]):
+        size = max(need, 0 if table is None else 2 * len(table[0]))
+        table = _ROPE_TABLES[head_dim] = _rotation(np.arange(size), head_dim)
+    cos, sin = table
+    return cos[positions], sin[positions]
 
 
 def rope(x: Tensor, positions: np.ndarray) -> Tensor:
@@ -163,12 +184,14 @@ def causal_mask(t: int, s: int) -> np.ndarray:
 def _causal_softmax(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """softmax(q k^T / sqrt(head_dim) + causal mask) for q [B, heads, T, head_dim], k [B, heads, S, head_dim].
 
-    The T queries sit at the last T of the S key positions.
+    The T queries sit at the last T of the S key positions, so only the last
+    T key columns can hold a masked entry, and a single query masks none.
     """
     t, head_dim = q.shape[-2:]
     p = q @ np.swapaxes(k, -1, -2)
     p *= 1.0 / math.sqrt(head_dim)
-    p += causal_mask(t, k.shape[-2])
+    if t > 1:
+        p[..., k.shape[-2] - t :] += causal_mask(t, t)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)

@@ -170,25 +170,23 @@ def build(config: ModelConfig, rng: RngState | None) -> PaPaformerModel:
     )
 
 
-def forward(
+def trunk(
     model: PaPaformerModel,
     tokens: np.ndarray,
     rng: RngState | None = None,
     training: bool = False,
     cache: KVCache | None = None,
 ) -> tuple:
-    """Next-token logits for a [T] or [B, T] id array, plus routing records.
+    """The model up to its last parallel layer: ([B, T, width] activations, routing records).
 
-    Training mode draws Gumbel noise from ``rng``; evaluation routes without
-    noise and needs no rng. With a ``cache``, the tokens continue the
-    ``cache.length`` positions already run through it, and logits and records
-    cover the new tokens only; every other layer acts on each position alone,
-    so only attention needs the cache.
+    Runs the embedding, the blocks before the parallel core, the
+    down-projection and the parallel layers of a [T] or [B, T] id array; a
+    [T] array runs as one batch row. Routing traces read everything they need
+    from the records, so they stop here. Arguments are those of ``forward``.
     """
     c = model.config
     tokens = np.asarray(tokens)
-    squeeze = tokens.ndim == 1
-    if squeeze:
+    if tokens.ndim == 1:
         tokens = tokens[None, :]
     length = tokens.shape[1] + (0 if cache is None else cache.length)
     if length > c.max_seq_len:
@@ -204,11 +202,32 @@ def forward(
                 x, layer, c.gumbel, rng=rng, training=training, max_seq_len=c.max_seq_len, cache=cache
             )
             records.append(rec)
+    return x, records
+
+
+def forward(
+    model: PaPaformerModel,
+    tokens: np.ndarray,
+    rng: RngState | None = None,
+    training: bool = False,
+    cache: KVCache | None = None,
+) -> tuple:
+    """Next-token logits for a [T] or [B, T] id array, plus routing records.
+
+    ``trunk``, then the blocks after the parallel core, the final norm and
+    the LM head. Training mode draws Gumbel noise from ``rng``; evaluation
+    routes without noise and needs no rng. With a ``cache``, the tokens
+    continue the ``cache.length`` positions already run through it, and
+    logits and records cover the new tokens only; every other layer acts on
+    each position alone, so only attention needs the cache.
+    """
+    c = model.config
+    x, records = trunk(model, tokens, rng, training, cache)
     for b in model.blocks_after:
         x = layer_block(x, b, c.max_seq_len, cache=cache)
     x = rmsnorm(x, model.final_norm_scale)
     logits = x @ model.lm_head
-    if squeeze:
+    if np.ndim(tokens) == 1:
         logits = logits.reshape(logits.shape[1], logits.shape[2])
     return logits, records
 

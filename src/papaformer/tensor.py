@@ -2,8 +2,10 @@
 
 Every operation records a backward closure on a tape (the implicit graph of
 parent links). Calling ``backward()`` on a scalar loss walks the graph in
-reverse topological order and accumulates gradients into every leaf that has
-``requires_grad`` set.
+reverse topological order, accumulates gradients into every leaf that has
+``requires_grad`` set, and frees each node's closure and parent links once it
+has run, so the graph can be walked once. Under ``no_grad()`` nothing is
+recorded: results keep their values and drop their parents and closures.
 
 The tape computes in the dtype of its operands. Parameters and random draws
 are created in the default dtype, float32; ``set_default_dtype`` switches
@@ -16,6 +18,7 @@ float64 (the finite-difference oracles rely on this).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,25 @@ def set_default_dtype(dtype) -> None:
 
 def default_dtype():
     return _default_dtype
+
+
+_recording = True  # read only by Tensor.__init__; set by no_grad
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block: new Tensors keep no parents and no closure.
+
+    Ops still build their closures and hand them to ``Tensor.__init__``, which
+    drops them here, so each op keeps one code path. ``requires_grad`` keeps
+    the value it is given. The previous state returns on exit, so blocks nest.
+    """
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
 
 
 class ShapeError(ValueError):
@@ -89,8 +111,12 @@ class Tensor:
         self.data = _as_array(data)
         self.requires_grad = requires_grad
         self.grad = None
-        self._parents = _parents
-        self._backward = _backward
+        if _recording:
+            self._parents = _parents
+            self._backward = _backward
+        else:
+            self._parents = ()
+            self._backward = None
 
     # -- introspection ----------------------------------------------------
 
@@ -117,8 +143,13 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every requires_grad leaf.
 
-        ``self`` must be a scalar. Repeated calls without ``zero_grad``
-        accumulate, matching gradient-accumulation training.
+        ``self`` must be a scalar. Repeated calls on fresh graphs without
+        ``zero_grad`` accumulate, matching gradient-accumulation training.
+        Each node's closure and parent links are dropped as soon as it has run,
+        so the activations they hold are released during the walk; leaves are
+        untouched. Calling ``backward`` again on a walked root raises
+        RuntimeError, and a walked node that another root reaches is a
+        constant there.
         """
         if self.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -138,7 +169,8 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
             if g is None:
                 continue
@@ -152,6 +184,7 @@ class Tensor:
                     if parent.requires_grad or parent._parents:
                         acc = grads.get(id(parent))
                         grads[id(parent)] = pg if acc is None else acc + pg
+                node._backward, node._parents = _walked, ()
 
     # -- arithmetic -------------------------------------------------------
 
@@ -362,6 +395,13 @@ class Tensor:
             return ((a, full),)
 
         return Tensor(a.data[key], _parents=(a,), _backward=bwd)
+
+
+def _walked(g):
+    """The closure of a node that ``backward`` has already run and freed."""
+    raise RuntimeError(
+        "backward() reached a graph that an earlier backward() already walked and freed; run the forward again"
+    )
 
 
 # -- module-level operations ----------------------------------------------

@@ -16,6 +16,7 @@ from papaformer.analysis import (
     trace_routing,
     utilization,
 )
+from papaformer.blocks import ConfigError
 from papaformer.data import ToyTokenizer, synthetic_math_corpus, synthetic_story_corpus
 from papaformer.model import CONNECTION_KINDS, ModelConfig, build, forward
 from papaformer.tensor import RngState, Tensor, cosine_similarity
@@ -103,6 +104,20 @@ class TestRoutingTrace:
         with pytest.raises(AnalysisError, match="empty prompt"):
             trace_routing(gumbel_model, np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize("kind", ["gumbel_v1", "gumbel_v2"])
+    def test_pis_match_taped_full_forward(self, kind):
+        # two layer blocks put one after the parallel core, which the trace skips
+        m = build(model_config(kind, n_parallel=3, n_layer_blocks=2), RngState(7))
+        prompt = np.random.default_rng(3).integers(0, VOCAB, size=11)
+        _, records = forward(m, prompt[None, :])
+        for pos in (0, 4, 10):
+            trace = trace_routing(m, prompt, position=pos)
+            assert [p.tobytes() for p in trace.pis] == [rec.pi.data[0, pos].tobytes() for rec in records]
+
+    def test_prompt_past_max_seq_len(self, gumbel_model):
+        with pytest.raises(ConfigError, match="17 exceeds max_seq_len 16"):
+            trace_routing(gumbel_model, np.zeros(17, dtype=np.int64))
+
     def test_combined_label(self):
         t = RoutingTrace(PROMPT, selections=[2, 0], pis=[], position=4, k=2)
         assert t.labels() == ["combined", "path_1"]
@@ -126,6 +141,24 @@ class TestDominanceTrace:
         trace = trace_dominance(share_model, PROMPT)
         for d, scores in zip(trace.dominant, trace.cosines):
             assert d == int(np.argmax(scores))
+
+    def test_cosines_match_taped_full_forward(self):
+        m = build(model_config("share_linear", n_parallel=3, n_layer_blocks=2), RngState(8))
+        prompt = np.random.default_rng(4).integers(0, VOCAB, size=9)
+        _, records = forward(m, prompt[None, :])
+        d_path = m.config.d_path
+        want = []
+        for rec, layer in zip(records, m.parallel_layers):
+            y = rec.combined.data[0]
+            reps = [f.data[0] for f in rec.path_outputs]
+            if layer.final:
+                reps = [r @ layer.connection.w.data[i * d_path : (i + 1) * d_path] for i, r in enumerate(reps)]
+            want.append([float(np.mean(cosine_similarity(Tensor(r), Tensor(y)).data)) for r in reps])
+        assert trace_dominance(m, prompt).cosines == want
+
+    def test_prompt_past_max_seq_len(self, share_model):
+        with pytest.raises(ConfigError, match="exceeds max_seq_len"):
+            trace_dominance(share_model, np.zeros(17, dtype=np.int64))
 
     def test_rejects_gumbel(self, gumbel_model):
         with pytest.raises(AnalysisError, match="share_linear"):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,28 @@ class TestRope:
         with pytest.raises(blocks.ConfigError):
             rope(Tensor(np.zeros((1, 1, 1, 3))), np.array([0]))
 
+    @pytest.mark.parametrize("head_dim", [2, 8, 32])
+    def test_tables_bit_identical_to_inline_formula(self, head_dim):
+        def inline(positions):
+            j = np.arange(head_dim // 2, dtype=np.float64)
+            theta = blocks.ROPE_BASE ** (-2.0 * j / head_dim)
+            angles = np.asarray(positions, dtype=np.float64)[:, None] * theta[None, :]
+            return tuple(f(angles).astype(np.float32)[:, None, :, None] for f in (np.cos, np.sin))
+
+        # from 0, cached continuations, and a position past the table built so far
+        for positions in (np.arange(7), 5 + np.arange(3), np.arange(255), 250 + np.arange(1), None):
+            if positions is None:
+                positions = np.array([len(blocks._ROPE_TABLES[head_dim][0]) + 37])
+            got, want = blocks.rope_tables(positions, head_dim), inline(positions)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    def test_table_rows_are_copies(self):
+        cos, _ = blocks.rope_tables(np.arange(4), 4)
+        cos[:] = 7.0
+        assert blocks.rope_tables(np.arange(4), 4)[0].max() <= 1.0
+
     def test_grad(self):
         rng = np.random.default_rng(4)
         x0 = rng.random((1, 3, 2, 4)) * 4 - 2
@@ -136,6 +159,21 @@ class TestCausalMha:
         np.testing.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-5)
         # strict causal: no weight above the diagonal
         assert np.max(np.abs(np.triu(att, k=1))) < 1e-6
+
+    @pytest.mark.parametrize("t", [1, 5, 64])
+    @pytest.mark.parametrize("extra", [0, 70])
+    def test_softmax_bit_identical_to_full_mask(self, t, extra):
+        rng = np.random.default_rng(t + extra)
+        s = t + extra
+        q = rng.standard_normal((2, 3, t, 8)).astype(np.float32)
+        k = rng.standard_normal((2, 3, s, 8)).astype(np.float32)
+        p = q @ np.swapaxes(k, -1, -2)
+        p *= 1.0 / math.sqrt(8)
+        p = p + blocks.causal_mask(t, s)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        assert blocks._causal_softmax(q, k).tobytes() == p.tobytes()
 
     def test_offset_mask_is_last_rows_of_full_mask(self):
         np.testing.assert_array_equal(blocks.causal_mask(2, 5), blocks.causal_mask(5, 5)[3:])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import papaformer.tensor as T
-from papaformer.blocks import ConfigError, KVCache
-from papaformer.model import CONNECTION_KINDS, ModelConfig, build, count_params, forward
+from papaformer.blocks import ConfigError, KVCache, layer_block, rmsnorm
+from papaformer.model import CONNECTION_KINDS, ModelConfig, build, count_params, forward, trunk
 from papaformer.tensor import RngState
 
 FULL_VOCAB = 50257
@@ -222,6 +222,43 @@ class TestForward:
         det, _ = forward(m, toks)
         noisy, _ = forward(m, toks, rng=RngState(5), training=True)
         assert not np.array_equal(det.data, noisy.data)
+
+
+def record_bytes(records) -> list:
+    """Every array a forward's routing records hold, as bytes."""
+    out = []
+    for rec in records:
+        tensors = [rec.pi] if hasattr(rec, "pi") else [*rec.path_outputs, rec.combined]
+        out.extend(t.data.tobytes() for t in tensors)
+    return out
+
+
+class TestTrunk:
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+    @pytest.mark.parametrize("kind", CONNECTION_KINDS)
+    def test_trunk_then_head_is_forward(self, kind, training):
+        m = build(tiny_config(kind, n_layer_blocks=3), RngState(6))
+        toks = np.random.default_rng(2).integers(0, 13, size=(2, 9))
+        rng = (lambda: RngState(5)) if training else (lambda: None)
+        x, records = trunk(m, toks, rng(), training)
+        for b in m.blocks_after:
+            x = layer_block(x, b, m.config.max_seq_len)
+        logits = rmsnorm(x, m.final_norm_scale) @ m.lm_head
+        ref, ref_records = forward(m, toks, rng(), training)
+        assert logits.data.tobytes() == ref.data.tobytes()
+        assert len(records) == m.config.n_parallel_layers
+        assert record_bytes(records) == record_bytes(ref_records)
+
+    def test_one_dimensional_tokens_run_as_one_row(self):
+        m = build(tiny_config("gumbel_v1"), RngState(1))
+        x, records = trunk(m, np.array([1, 2, 3]))
+        assert x.shape == (1, 3, 8)
+        assert records[0].pi.shape == (1, 3, 3)
+
+    def test_over_long_sequence(self):
+        m = build(tiny_config("gumbel_v2"), RngState(1))
+        with pytest.raises(ConfigError, match="17 exceeds"):
+            trunk(m, np.zeros(17, dtype=np.int64))
 
 
 class TestCountParams:

@@ -116,6 +116,31 @@ class TestBackward:
         x.sum().backward()
         np.testing.assert_allclose(x.grad, [2, 2])
 
+    def test_second_backward_on_one_graph_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already walked"):
+            loss.backward()
+        np.testing.assert_allclose(x.grad, [2, 4])
+
+    def test_two_fresh_graphs_over_one_leaf_accumulate(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([3.0, 4.0], requires_grad=True)
+        for _ in range(2):
+            (x * w).sum().backward()
+        np.testing.assert_allclose(x.grad, [6, 8])
+        np.testing.assert_allclose(w.grad, [2, 4])
+
+    def test_walk_frees_interior_nodes_and_keeps_leaves(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        h = x * 3.0
+        loss = (h * h).sum()
+        loss.backward()
+        assert h._parents == () and loss._parents == ()
+        assert x._parents == () and x._backward is None and x.requires_grad
+        np.testing.assert_array_equal(h.data, [3.0, 6.0])
+
     def test_composite_matmul_softmax_ce(self):
         rng = np.random.default_rng(4)
         w0 = rand(rng, 4, 3)
@@ -128,6 +153,42 @@ class TestBackward:
             return -(picked.log().mean())
 
         check_grad(loss_fn, rand(rng, 3, 4))
+
+
+class TestNoGrad:
+    def test_results_record_no_tape(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            y = (x * x).sum()
+            leaf = Tensor([0.5], requires_grad=True)
+        assert y._parents == () and y._backward is None
+        assert leaf.requires_grad and x.requires_grad
+        assert y.data == 5.0
+        z = x * x
+        assert z._parents == (x, x) and z._backward is not None
+
+    def test_values_match_recorded_forward(self):
+        rng = np.random.default_rng(8)
+        a, b = Tensor(rand(rng, 3, 4)), Tensor(rand(rng, 4, 5))
+        taped = (a @ b).softmax(axis=-1)
+        with T.no_grad():
+            free = (a @ b).softmax(axis=-1)
+        np.testing.assert_array_equal(free.data, taped.data)
+
+    def test_nesting_restores_each_level(self):
+        x = Tensor([1.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert (x * x)._backward is None
+        assert (x * x)._backward is not None
+
+    def test_flag_restored_after_exception(self):
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(KeyError):
+            with T.no_grad():
+                raise KeyError("boom")
+        assert (x * x)._parents == (x, x)
 
 
 class TestGumbel:

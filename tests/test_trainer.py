@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -309,6 +310,19 @@ class TestResume:
             assert np.array_equal(p.data, ckpt.model.named_params()[name].data)
         assert ckpt.extra["epochs_done"] == 2
         assert any(n.startswith("m.") for n in ckpt.opt_tensors)
+
+
+class TestCheckpointBytes:
+    def test_seeded_composite_steps_match_pinned_digest(self, store, tmp_path):
+        # sha256 of this run's checkpoint before backward freed the graph as it
+        # walked; training arithmetic must not have moved by a single bit.
+        # Taken on x86-64 with NumPy 2.x and its bundled OpenBLAS, float32.
+        path = tmp_path / "composite.ppck"
+        model = build(small_model_config(store.tokenizer.vocab_size, n_layer_blocks=2), RngState(0))
+        chunks = [c for c in store.chunks if c.corpus == "story"][:8]
+        train(model, chunks, tiny_cfg(epochs=1, max_steps=2), checkpoint_path=str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "7992172eba858d86b121cc9761487c2f9429be319d7dda95efa295d2b056f3de"
 
 
 class TestPhase2:
