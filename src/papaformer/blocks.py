@@ -137,10 +137,11 @@ _ROPE_TABLES = {}  # head_dim -> _rotation(0..n-1, head_dim)
 def rope_tables(positions: np.ndarray, head_dim: int) -> tuple:
     """cos/sin rotation tables for the given positions, shaped [T, 1, hd/2, 1].
 
-    Integer positions take their rows from one table per head_dim, which
-    grows to cover the largest position asked for; since each entry is the
-    elementwise pos * theta_j, a row does not depend on the table's length.
-    Other positions are rotated as given.
+    Integer positions, the only kind the model passes, take their rows from
+    one table per head_dim, which grows to cover the largest position asked
+    for; since each entry is the elementwise pos * theta_j, a row does not
+    depend on the table's length. Fractional positions, which serve tests of
+    the rotation itself, are rotated as given and never enter the table.
     """
     if head_dim % 2 != 0:
         raise ConfigError(f"head_dim {head_dim} must be even for rotary embeddings")

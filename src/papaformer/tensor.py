@@ -147,9 +147,9 @@ class Tensor:
         ``zero_grad`` accumulate, matching gradient-accumulation training.
         Each node's closure and parent links are dropped as soon as it has run,
         so the activations they hold are released during the walk; leaves are
-        untouched. Calling ``backward`` again on a walked root raises
-        RuntimeError, and a walked node that another root reaches is a
-        constant there.
+        untouched. A walked node keeps a closure that raises, so a later
+        ``backward`` that reaches it, from the same root or another, raises
+        RuntimeError instead of silently stopping there.
         """
         if self.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -181,7 +181,7 @@ class Tensor:
                     node.grad = node.grad + g
             if node._backward is not None:
                 for parent, pg in node._backward(g):
-                    if parent.requires_grad or parent._parents:
+                    if parent.requires_grad or parent._backward is not None:
                         acc = grads.get(id(parent))
                         grads[id(parent)] = pg if acc is None else acc + pg
                 node._backward, node._parents = _walked, ()

@@ -292,8 +292,7 @@ class TestParallelLayerForward:
         np.testing.assert_array_equal(rec.pi.data, inner.pi.data)
         assert not np.allclose(mixed.data, y.data[..., :D_PATH])
         # with the mixture gone, the final v2 combine weight is off the tape
-        (y * y).sum().backward()
-        rec.pi.sum().backward()
+        ((y * y).sum() + rec.pi.sum()).backward()
         assert (layer.connection.w_combine.grad is None) == (kind == "gumbel_v2")
 
     def test_parameter_count_matches_closed_form(self):

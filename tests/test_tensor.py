@@ -124,6 +124,22 @@ class TestBackward:
             loss.backward()
         np.testing.assert_allclose(x.grad, [2, 4])
 
+    def test_second_root_reaching_walked_node_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        h = x * 3.0
+        (h * h).sum().backward()
+        with pytest.raises(RuntimeError, match="already walked"):
+            (h * 2.0).sum().backward()
+        np.testing.assert_allclose(x.grad, [18, 36])
+
+    def test_walked_node_in_no_grad_or_leaf_inputs_still_constant(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            c = x * 3.0
+        k = Tensor([5.0, 7.0])
+        (x * c + k).sum().backward()
+        np.testing.assert_allclose(x.grad, [3, 6])
+
     def test_two_fresh_graphs_over_one_leaf_accumulate(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         w = Tensor([3.0, 4.0], requires_grad=True)

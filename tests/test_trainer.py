@@ -1,5 +1,10 @@
 import hashlib
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,17 +317,62 @@ class TestResume:
         assert any(n.startswith("m.") for n in ckpt.opt_tensors)
 
 
+def composite_checkpoint(path) -> bytes:
+    """Bytes of the checkpoint a seeded 2-step composite run writes to ``path``."""
+    corpora = [synthetic_story_corpus(60, seed=1), synthetic_math_corpus(60, seed=2)]
+    store = build_chunk_store(corpora, seq_len=16, seed=42)
+    model = build(small_model_config(store.tokenizer.vocab_size, n_layer_blocks=2), RngState(0))
+    chunks = [c for c in store.chunks if c.corpus == "story"][:8]
+    train(model, chunks, tiny_cfg(epochs=1, max_steps=2), checkpoint_path=str(path))
+    return Path(path).read_bytes()
+
+
+def numpy_platform() -> dict:
+    """What float32 results depend on besides the code: NumPy, its BLAS build and the CPU's SIMD set."""
+    cfg = np.show_config(mode="dicts")
+    blas = cfg["Build Dependencies"]["blas"]
+    return {
+        "machine": platform.machine(),
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "simd": " ".join(cfg["SIMD Extensions"]["found"]),
+    }
+
+
+# sha256 of composite_checkpoint before backward freed the graph as it walked,
+# taken with one BLAS thread on this platform. OpenBLAS picks its kernels per
+# CPU and may split a GEMM per thread, so elsewhere the bits may differ.
+PINNED_DIGEST = "7992172eba858d86b121cc9761487c2f9429be319d7dda95efa295d2b056f3de"
+PINNED_PLATFORM = {
+    "machine": "x86_64",
+    "numpy": "2.4.6",
+    "blas": "scipy-openblas 0.3.31.188.0",
+    "simd": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+}
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 class TestCheckpointBytes:
-    def test_seeded_composite_steps_match_pinned_digest(self, store, tmp_path):
-        # sha256 of this run's checkpoint before backward freed the graph as it
-        # walked; training arithmetic must not have moved by a single bit.
-        # Taken on x86-64 with NumPy 2.x and its bundled OpenBLAS, float32.
-        path = tmp_path / "composite.ppck"
-        model = build(small_model_config(store.tokenizer.vocab_size, n_layer_blocks=2), RngState(0))
-        chunks = [c for c in store.chunks if c.corpus == "story"][:8]
-        train(model, chunks, tiny_cfg(epochs=1, max_steps=2), checkpoint_path=str(path))
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "7992172eba858d86b121cc9761487c2f9429be319d7dda95efa295d2b056f3de"
+    def test_seeded_composite_steps_are_reproducible(self, tmp_path):
+        assert composite_checkpoint(tmp_path / "a.ppck") == composite_checkpoint(tmp_path / "b.ppck")
+
+    def test_seeded_composite_steps_match_pinned_digest(self, tmp_path):
+        # training arithmetic must not have moved by a single bit
+        here = numpy_platform()
+        if here != PINNED_PLATFORM:
+            pytest.skip(f"digest pinned on {PINNED_PLATFORM}, this is {here}")
+        tests = Path(__file__).resolve().parent
+        child = (
+            "import hashlib, sys\n"
+            f"sys.path[:0] = [{str(tests.parent / 'src')!r}, {str(tests)!r}]\n"
+            "from test_trainer import composite_checkpoint\n"
+            f"print(hashlib.sha256(composite_checkpoint({str(tmp_path / 'c.ppck')!r})).hexdigest())\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", child], env={**os.environ, **ONE_BLAS_THREAD},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == PINNED_DIGEST
 
 
 class TestPhase2:
