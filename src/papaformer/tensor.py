@@ -47,6 +47,9 @@ def no_grad():
     Ops still build their closures and hand them to ``Tensor.__init__``, which
     drops them here, so each op keeps one code path. ``requires_grad`` keeps
     the value it is given. The previous state returns on exit, so blocks nest.
+    The flag is process-wide: entering ``no_grad`` on one thread stops the tape
+    on every thread, so a ``no_grad`` block on another thread while ``train``
+    runs its micro-batch workers would leave their graphs unrecorded.
     """
     global _recording
     outer, _recording = _recording, False
@@ -140,11 +143,15 @@ class Tensor:
 
     # -- graph ------------------------------------------------------------
 
-    def backward(self) -> None:
+    def backward(self, sink: dict | None = None) -> None:
         """Accumulate d(self)/d(leaf) into every requires_grad leaf.
 
         ``self`` must be a scalar. Repeated calls on fresh graphs without
         ``zero_grad`` accumulate, matching gradient-accumulation training.
+        With a ``sink`` dict, each leaf's gradient is accumulated into
+        ``sink[leaf]`` instead and ``leaf.grad`` is not touched, so backward
+        walks on other threads over graphs that share leaves write nothing
+        shared.
         Each node's closure and parent links are dropped as soon as it has run,
         so the activations they hold are released during the walk; leaves are
         untouched. A walked node keeps a closure that raises, so a later
@@ -175,7 +182,10 @@ class Tensor:
             if g is None:
                 continue
             if node.requires_grad:
-                if node.grad is None:
+                if sink is not None:
+                    held = sink.get(node)
+                    sink[node] = g.copy() if held is None else held + g
+                elif node.grad is None:
                     node.grad = g.copy()
                 else:
                     node.grad = node.grad + g

@@ -11,8 +11,13 @@ divergence.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -22,6 +27,7 @@ from papaformer.checkpoint import save_checkpoint
 from papaformer.data import COMPOSITE_SUB, PATH_CORPORA, PATH_SUB, ChunkStore, make_batches
 from papaformer.losses import cross_entropy, total_loss
 from papaformer.model import ModelConfig, PaPaformerModel, build, forward
+from papaformer.parallel import GumbelParams
 from papaformer.tensor import NonFiniteError, RngState
 
 
@@ -186,6 +192,72 @@ def _steps_in_epoch(n_batches: int, cfg: TrainConfig) -> int:
     return n_batches // cfg.grad_accum_steps
 
 
+# setters of the bundled OpenBLAS's thread count, by build: NumPy 2 wheels, then NumPy 1 wheels
+_BLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+_M_ARENA_MAX = -8  # glibc mallopt parameter
+
+
+@functools.cache
+def _claim_cpus() -> bool:
+    """Pin NumPy's OpenBLAS to one thread and glibc malloc to one arena, once per process.
+
+    Micro-batches run on one thread each. BLAS threads on top of them would
+    oversubscribe the CPUs: two workers at two BLAS threads ran at 0.73x the
+    serial speed. Each worker thread would also get its own malloc arena, which
+    keeps the high-water mark of a micro-batch tape. One BLAS thread also makes
+    each weight-gradient GEMM reduce in one order, so the bits no longer depend
+    on OPENBLAS_NUM_THREADS. Returns False when either setting is out of reach;
+    training then stays on the calling thread.
+    """
+    try:
+        try:
+            from numpy._core import _multiarray_umath
+        except ImportError:  # NumPy 1
+            from numpy.core import _multiarray_umath
+        blas = ctypes.CDLL(_multiarray_umath.__file__)
+        libc = ctypes.CDLL(None)
+    except (ImportError, OSError):
+        return False
+    set_threads = next((getattr(blas, n) for n in _BLAS_SET_THREADS if hasattr(blas, n)), None)
+    mallopt = getattr(libc, "mallopt", None)
+    if set_threads is None or mallopt is None:
+        return False
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    set_threads(1)
+    return mallopt(_M_ARENA_MAX, 1) == 1
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _micro_step(model: PaPaformerModel, batch: list, rng: RngState, cfg: TrainConfig, step: int) -> tuple:
+    """One micro-batch: forward, loss, and the backward of loss/accum into a fresh sink.
+
+    Returns (loss scalars, {leaf: gradient}, tokens). It writes no state that
+    another micro-batch reads, so micro-batches may run on separate threads.
+    """
+    tokens = np.stack([c.tokens for c in batch]).astype(np.int64)
+    x, y = tokens[:, :-1], tokens[:, 1:]
+    logits, records = forward(model, x, rng=rng, training=True)
+    ce = cross_entropy(logits, y)
+    breakdown = total_loss(ce, records, cfg.lambda_entropy, cfg.lambda_load, cfg.sign_entropy, cfg.sign_load)
+    if not np.isfinite(breakdown.total.data):
+        raise NonFiniteError(f"non-finite loss at step {step}; last-good checkpoint retained")
+    sink = {}
+    (breakdown.total * (1.0 / cfg.grad_accum_steps)).backward(sink)
+    return breakdown.scalars(), sink, x.size
+
+
 def train(
     model: PaPaformerModel,
     chunks: list,
@@ -199,6 +271,12 @@ def train(
     Resuming: pass the ``TrainState`` reconstructed from an epoch-boundary
     checkpoint; planning replays the same seeded batch order, so resumed
     training is bit-identical to an uninterrupted run.
+
+    A step's micro-batches run in waves of up to one per usable CPU, each on
+    its own thread and tape. Micro-batch j draws its Gumbel noise from the
+    stream position the serial loop would reach it at, and each wave's
+    gradients are added into ``.grad`` in micro-batch order, so the result is
+    the same bit for bit at any worker count.
     """
     if state is None:
         state = TrainState(
@@ -224,75 +302,77 @@ def train(
         for batch in plan:
             report.planned.extend((c.corpus, c.sub_collection, c.epoch, c.start) for c in batch)
 
-    for epoch_idx, plan in enumerate(epoch_plans, start=1):
-        if epoch_idx <= state.epochs_done:
-            continue
-        n_steps = _steps_in_epoch(len(plan), cfg)
-        for s in range(n_steps):
+    # a training forward draws once per Gumbel layer and nowhere else
+    draws = sum(isinstance(layer.connection, GumbelParams) for layer in model.parallel_layers)
+    workers = min(cfg.grad_accum_steps, _usable_cpus()) if _claim_cpus() else 1
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for epoch_idx, plan in enumerate(epoch_plans, start=1):
+            if epoch_idx <= state.epochs_done:
+                continue
+            n_steps = _steps_in_epoch(len(plan), cfg)
+            for s in range(n_steps):
+                if state.global_step >= total_steps:
+                    break
+                lr_t = cosine_lr(state.global_step, total_steps, cfg.lr, cfg.warmup_steps)
+                t0 = time.perf_counter()
+                micro = plan[s * cfg.grad_accum_steps : (s + 1) * cfg.grad_accum_steps]
+                acc = {"ce": 0.0, "entropy": 0.0, "load": 0.0, "total": 0.0}
+                n_tokens = 0
+                for w in range(0, len(micro), workers):
+                    wave = micro[w : w + workers]
+                    start = state.model_rng.position
+                    rngs = [RngState(state.model_rng.seed, start + j * draws) for j in range(len(wave))]
+                    results = list(
+                        run(lambda batch, rng: _micro_step(model, batch, rng, cfg, state.global_step), wave, rngs)
+                    )
+                    for j, rng in enumerate(rngs):
+                        if rng.position != start + (j + 1) * draws:
+                            raise RuntimeError(
+                                f"a training forward drew {rng.position - start - j * draws} times, not {draws}: "
+                                "micro-batches would not draw the serial loop's noise"
+                            )
+                    state.model_rng.position = start + len(wave) * draws
+                    for batch, (scalars, sink, tokens) in zip(wave, results):
+                        for leaf, g in sink.items():
+                            leaf.grad = g if leaf.grad is None else leaf.grad + g
+                        for k in acc:
+                            acc[k] += scalars[k] / cfg.grad_accum_steps
+                        n_tokens += tokens
+                        report.consumed.extend((c.corpus, c.sub_collection, c.epoch, c.start) for c in batch)
+                if cfg.grad_clip > 0:
+                    clip_gradients(params, cfg.grad_clip)
+                adamw_step(params, state.opt, lr_t, cfg)
+                model.zero_grad()
+                state.global_step += 1
+                dt = time.perf_counter() - t0
+                entry = {"step": state.global_step, "lr": lr_t, **acc, "tokens_per_sec": n_tokens / dt}
+                report.steps.append(entry)
+                if log_file is not None:
+                    log_file.write(
+                        "step={step} lr={lr:.6g} ce={ce:.6f} entropy={entropy:.6f} "
+                        "load={load:.6f} total={total:.6f} tokens_per_sec={tokens_per_sec:.0f}\n".format(**entry)
+                    )
+            state.epochs_done = epoch_idx
+            if checkpoint_path is not None:
+                ckpt_path = checkpoint_path.format(epoch=epoch_idx)
+                save_checkpoint(
+                    ckpt_path,
+                    model,
+                    provenance={n: "trained" for n in params},
+                    train_config=cfg.to_dict(),
+                    rng=state.model_rng,
+                    opt_tensors=state.opt.tensors(),
+                    extra={
+                        "opt_step": state.opt.step,
+                        "global_step": state.global_step,
+                        "epochs_done": state.epochs_done,
+                        "data_rng": {"seed": state.data_rng.seed, "position": state.data_rng.position},
+                    },
+                )
+                report.checkpoints.append(ckpt_path)
             if state.global_step >= total_steps:
                 break
-            lr_t = cosine_lr(state.global_step, total_steps, cfg.lr, cfg.warmup_steps)
-            t0 = time.perf_counter()
-            micro = plan[s * cfg.grad_accum_steps : (s + 1) * cfg.grad_accum_steps]
-            acc = {"ce": 0.0, "entropy": 0.0, "load": 0.0, "total": 0.0}
-            n_tokens = 0
-            for batch in micro:
-                tokens = np.stack([c.tokens for c in batch]).astype(np.int64)
-                x, y = tokens[:, :-1], tokens[:, 1:]
-                logits, records = forward(model, x, rng=state.model_rng, training=True)
-                ce = cross_entropy(logits, y)
-                breakdown = total_loss(
-                    ce,
-                    records,
-                    cfg.lambda_entropy,
-                    cfg.lambda_load,
-                    cfg.sign_entropy,
-                    cfg.sign_load,
-                )
-                if not np.isfinite(breakdown.total.data):
-                    raise NonFiniteError(
-                        f"non-finite loss at step {state.global_step}; last-good checkpoint retained"
-                    )
-                scaled = breakdown.total * (1.0 / cfg.grad_accum_steps)
-                scaled.backward()
-                scalars = breakdown.scalars()
-                for k in acc:
-                    acc[k] += scalars[k] / cfg.grad_accum_steps
-                n_tokens += x.size
-                report.consumed.extend((c.corpus, c.sub_collection, c.epoch, c.start) for c in batch)
-            if cfg.grad_clip > 0:
-                clip_gradients(params, cfg.grad_clip)
-            adamw_step(params, state.opt, lr_t, cfg)
-            model.zero_grad()
-            state.global_step += 1
-            dt = time.perf_counter() - t0
-            entry = {"step": state.global_step, "lr": lr_t, **acc, "tokens_per_sec": n_tokens / dt}
-            report.steps.append(entry)
-            if log_file is not None:
-                log_file.write(
-                    "step={step} lr={lr:.6g} ce={ce:.6f} entropy={entropy:.6f} "
-                    "load={load:.6f} total={total:.6f} tokens_per_sec={tokens_per_sec:.0f}\n".format(**entry)
-                )
-        state.epochs_done = epoch_idx
-        if checkpoint_path is not None:
-            ckpt_path = checkpoint_path.format(epoch=epoch_idx)
-            save_checkpoint(
-                ckpt_path,
-                model,
-                provenance={n: "trained" for n in params},
-                train_config=cfg.to_dict(),
-                rng=state.model_rng,
-                opt_tensors=state.opt.tensors(),
-                extra={
-                    "opt_step": state.opt.step,
-                    "global_step": state.global_step,
-                    "epochs_done": state.epochs_done,
-                    "data_rng": {"seed": state.data_rng.seed, "position": state.data_rng.position},
-                },
-            )
-            report.checkpoints.append(ckpt_path)
-        if state.global_step >= total_steps:
-            break
     return report
 
 

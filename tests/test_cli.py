@@ -1,11 +1,24 @@
 import json
+import threading
 
+import numpy as np
 import pytest
 
-from papaformer import cli, composer
-from papaformer.checkpoint import read_manifest
-from papaformer.cli import EXIT_COMPOSITION, EXIT_CONFIG, EXIT_DATA, load_config, main, train_config_from
+from papaformer import cli, composer, trainer
+from papaformer.checkpoint import read_manifest, save_checkpoint
+from papaformer.cli import (
+    EXIT_COMPOSITION,
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_NUMERICAL,
+    load_config,
+    main,
+    model_config_from,
+    train_config_from,
+)
 from papaformer.data import ChunkStore
+from papaformer.model import build
+from papaformer.tensor import RngState
 
 TINY_MODEL = """
 model:
@@ -123,6 +136,22 @@ class TestTrain:
                    "--out", str(out)])
         assert rc == EXIT_CONFIG
         assert entry.split(":")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_weight_exits_numerical_from_a_worker(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)  # the config accumulates 2 micro-batches
+        store = ChunkStore.load(str(workdir / "store.ppch"))
+        shape = model_config_from(load_config(str(workdir / "path.yaml")), vocab_size=store.tokenizer.vocab_size)
+        model = build(shape, RngState(0))
+        model.lm_head.data[0, 0] = np.nan
+        save_checkpoint(str(workdir / "nan.ppck"), model)
+        out = workdir / "nan_trained.ppck"
+        before = threading.active_count()
+        rc = main(["train", "--config", str(workdir / "path.yaml"), "--data", str(workdir / "store.ppch"),
+                   "--role", "path1", "--init", str(workdir / "nan.ppck"), "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "non-finite loss at step 0" in capsys.readouterr().err
+        assert threading.active_count() == before
         assert not out.exists()
 
     def test_missing_config(self, workdir, capsys):

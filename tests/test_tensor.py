@@ -148,6 +148,24 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [6, 8])
         np.testing.assert_allclose(w.grad, [2, 4])
 
+    def test_sink_takes_the_gradients_and_leaves_grad_alone(self):
+        rng = np.random.default_rng(9)
+        x0, w0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+
+        def loss(x, w):
+            h = x @ w
+            return (h * h).sum() + (h @ w.transpose()).sum()  # w is reached along two routes
+
+        x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+        loss(x, w).backward()
+        xs, ws = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+        sink = {}
+        loss(xs, ws).backward(sink)
+        assert set(sink) == {xs, ws}
+        assert xs.grad is None and ws.grad is None
+        assert sink[xs].tobytes() == x.grad.tobytes()
+        assert sink[ws].tobytes() == w.grad.tobytes()
+
     def test_walk_frees_interior_nodes_and_keeps_leaves(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         h = x * 3.0

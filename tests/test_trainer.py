@@ -4,11 +4,13 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from papaformer import trainer
 from papaformer.blocks import ConfigError
 from papaformer.checkpoint import load_checkpoint
 from papaformer.data import build_chunk_store, synthetic_math_corpus, synthetic_story_corpus
@@ -373,6 +375,122 @@ class TestCheckpointBytes:
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == PINNED_DIGEST
+
+
+def bench_shape_checkpoint(path) -> bytes:
+    """Bytes of the checkpoint 2 seeded steps write at the benchmark's composite shape (B=2, T=255, accum 2).
+
+    Its weight-gradient GEMMs reduce over 510 rows, which multithreaded
+    OpenBLAS splits, so its bits depend on the BLAS thread count unless
+    training pins it.
+    """
+    from papaformer.cli import load_config
+
+    corpora = [synthetic_story_corpus(200, seed=1), synthetic_math_corpus(200, seed=2)]
+    store = build_chunk_store(corpora, seq_len=256, seed=1)
+    shape = {**load_config("parallel_gumbel_v1")["model"], "vocab_size": store.tokenizer.vocab_size}
+    model = build(ModelConfig.from_dict(shape), RngState(0))
+    chunks = store.select(corpus="story", sub=60)
+    train(model, chunks, tiny_cfg(epochs=1, max_steps=2), checkpoint_path=str(path))
+    return Path(path).read_bytes()
+
+
+def checkpoint_digest_in_child(fn_name: str, path, env: dict) -> str:
+    """sha256 of the checkpoint ``fn_name`` writes, computed in a fresh interpreter with ``env`` added."""
+    tests = Path(__file__).resolve().parent
+    child = (
+        "import hashlib, sys\n"
+        f"sys.path[:0] = [{str(tests.parent / 'src')!r}, {str(tests)!r}]\n"
+        f"from test_trainer import {fn_name}\n"
+        f"print(hashlib.sha256({fn_name}({str(path)!r})).hexdigest())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", child], env={**os.environ, **env}, capture_output=True, text=True, check=True,
+    )
+    return out.stdout.strip()
+
+
+class TestBlasThreads:
+    def test_bench_shape_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        digests = {
+            n: checkpoint_digest_in_child("bench_shape_checkpoint", tmp_path / f"t{n}.ppck", {
+                "OPENBLAS_NUM_THREADS": str(n), "OMP_NUM_THREADS": str(n), "MKL_NUM_THREADS": str(n),
+            })
+            for n in (1, 2)
+        }
+        assert digests[1] == digests[2]
+
+
+def force_workers(monkeypatch, n: int) -> None:
+    """Make ``train`` run up to ``n`` micro-batches at once, whatever the CPU count."""
+    monkeypatch.setattr(trainer, "_usable_cpus", lambda: n)
+
+
+KIND_CONFIGS = {
+    "path": dict(connection_kind="none", n_parallel_layers=0),
+    "share_linear": dict(connection_kind="share_linear"),
+    "gumbel_v1": dict(connection_kind="gumbel_v1"),
+    "gumbel_v2": dict(connection_kind="gumbel_v2"),
+}
+
+
+class TestWorkers:
+    def run(self, store, tmp_path, monkeypatch, workers, kind="gumbel_v1", accum=2):
+        force_workers(monkeypatch, workers)
+        model = build(small_model_config(store.tokenizer.vocab_size, **KIND_CONFIGS[kind]), RngState(0))
+        path = tmp_path / f"{kind}-{accum}-{workers}.ppck"
+        report = train(model, subset(store, 8), tiny_cfg(grad_accum_steps=accum, max_steps=2),
+                       checkpoint_path=str(path))
+        return report, path.read_bytes()
+
+    @pytest.mark.parametrize("accum", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(KIND_CONFIGS))
+    def test_one_and_two_workers_are_bit_identical(self, store, tmp_path, monkeypatch, kind, accum):
+        serial, serial_bytes = self.run(store, tmp_path, monkeypatch, 1, kind, accum)
+        threaded, threaded_bytes = self.run(store, tmp_path, monkeypatch, 2, kind, accum)
+        assert len(serial.steps) == 2
+        assert threaded.losses == serial.losses
+        assert threaded.consumed == serial.consumed
+        assert threaded_bytes == serial_bytes
+
+    def test_more_workers_than_cpus_under_fast_switching(self, store, tmp_path, monkeypatch):
+        # four workers on at most two CPUs, switching threads every microsecond:
+        # a gradient added by two workers at once would change the bytes
+        _, serial_bytes = self.run(store, tmp_path, monkeypatch, 1, accum=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, threaded_bytes = self.run(store, tmp_path, monkeypatch, 4, accum=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded_bytes == serial_bytes
+
+    def test_no_thread_outlives_train(self, store, tmp_path, monkeypatch):
+        before = threading.active_count()
+        self.run(store, tmp_path, monkeypatch, 2)
+        assert threading.active_count() == before
+
+    def test_non_finite_loss_in_a_worker_names_the_step(self, store, monkeypatch):
+        force_workers(monkeypatch, 2)
+        model = build(small_model_config(store.tokenizer.vocab_size), RngState(0))
+        model.lm_head.data[0, 0] = np.nan
+        before = threading.active_count()
+        with pytest.raises(NonFiniteError, match="non-finite loss at step 0"):
+            train(model, subset(store, 8), tiny_cfg())
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_extra_draw_in_the_forward_is_caught(self, store, monkeypatch, workers):
+        force_workers(monkeypatch, workers)
+
+        def drawing_forward(model, x, rng=None, training=False):
+            rng.uniform(())
+            return forward(model, x, rng=rng, training=training)
+
+        monkeypatch.setattr(trainer, "forward", drawing_forward)
+        model = build(small_model_config(store.tokenizer.vocab_size), RngState(0))
+        with pytest.raises(RuntimeError, match="drew 3 times, not 2"):
+            train(model, subset(store, 8), tiny_cfg())
 
 
 class TestPhase2:
