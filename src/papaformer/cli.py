@@ -71,7 +71,8 @@ def _preset_path(name: str):
 def load_config(ref: str) -> dict:
     """Parse a YAML config file or packaged preset name; strict on keys."""
     if os.path.exists(ref):
-        text = open(ref, "r", encoding="utf-8").read()
+        with open(ref, "r", encoding="utf-8") as f:
+            text = f.read()
     else:
         preset = _preset_path(ref)
         if preset is None:
@@ -191,14 +192,15 @@ def cmd_compose(args) -> int:
 
 def _read_prompts(path: str) -> list:
     prompts = []
-    for i, line in enumerate(open(path, "r", encoding="utf-8"), start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        domain, sep, text = line.partition("\t")
-        if not sep:
-            raise DataError(f"{path}:{i}: expected 'domain<TAB>prompt'")
-        prompts.append((domain.strip(), text.strip()))
+    with open(path, "r", encoding="utf-8") as f:
+        for i, line in enumerate(f, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            domain, sep, text = line.partition("\t")
+            if not sep:
+                raise DataError(f"{path}:{i}: expected 'domain<TAB>prompt'")
+            prompts.append((domain.strip(), text.strip()))
     if not prompts:
         raise DataError(f"{path}: no prompts")
     return prompts

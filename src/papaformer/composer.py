@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from papaformer.checkpoint import load_checkpoint, read_manifest
-from papaformer.model import ModelConfig, PaPaformerModel, build
+from papaformer.model import ModelConfig, PaPaformerModel, build, init_weights
 from papaformer.tensor import RngState
 
 
@@ -30,17 +30,18 @@ class CompositionPlan:
     target_config: ModelConfig
 
 
+def provenance_tag(name: str) -> str:
+    """Where a composed parameter comes from: 'concatenated', 'reused' or 'fresh'."""
+    if name in ("embed", "lm_head"):
+        return "concatenated"
+    if name.startswith("parallel") and ".path" in name:
+        return "reused"
+    return "fresh"
+
+
 def composition_provenance(config: ModelConfig) -> dict:
     """Provenance tag per target parameter name for a freshly composed model."""
-    tags = {}
-    for name in build(config, None).named_params():
-        if name in ("embed", "lm_head"):
-            tags[name] = "concatenated"
-        elif name.startswith("parallel") and ".path" in name:
-            tags[name] = "reused"
-        else:
-            tags[name] = "fresh"
-    return tags
+    return {name: provenance_tag(name) for name in build(config, None).named_params()}
 
 
 def weight_source(name: str, tag: str) -> str:
@@ -98,13 +99,20 @@ def validate_plan(plan: CompositionPlan) -> list:
 
 
 def compose(plan: CompositionPlan, rng: RngState) -> PaPaformerModel:
-    """Build the composite model; deterministic given (plan, rng seed)."""
+    """Build the composite model; deterministic given (plan, rng seed).
+
+    The target's skeleton gets only its fresh weights drawn, each from the
+    stream position a full seeded build would draw it at; the reused and
+    concatenated ones are filled from the paths, and ``rng`` ends where that
+    build would leave it.
+    """
     conflicts = validate_plan(plan)
     if conflicts:
         raise CompositionError("; ".join(conflicts))
     target = plan.target_config
     paths = [load_checkpoint(p).model for p in plan.path_checkpoints]
-    model = build(target, rng)
+    model = build(target, None)
+    init_weights(model, rng, skip={n for n in model.named_params() if provenance_tag(n) != "fresh"})
 
     model.embed.data = np.concatenate([p.embed.data for p in paths], axis=1)
     model.lm_head.data = np.concatenate([p.lm_head.data for p in paths], axis=0)

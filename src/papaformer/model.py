@@ -8,11 +8,25 @@ final norm -> lm head. Baselines are the same without the parallel core.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from papaformer.blocks import ConfigError, KVCache, LayerBlockParams, layer_block, read_config, rmsnorm, weight
+from papaformer.blocks import (
+    INIT_STD,
+    ConfigError,
+    KVCache,
+    LayerBlockParams,
+    layer_block,
+    read_config,
+    rmsnorm,
+    weight,
+)
 from papaformer.parallel import (
     GumbelConfig,
     GumbelParams,
@@ -123,6 +137,78 @@ class PaPaformerModel:
             p.zero_grad()
 
 
+# setters of the bundled OpenBLAS's thread count, by build: NumPy 2 wheels, then NumPy 1 wheels
+_BLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+_M_ARENA_MAX = -8  # glibc mallopt parameter
+
+
+@functools.cache
+def _claim_cpus() -> bool:
+    """Pin NumPy's OpenBLAS to one thread and glibc malloc to one arena, once per process.
+
+    Weight draws and training micro-batches run on one thread each. BLAS
+    threads on top of them would oversubscribe the CPUs: two workers at two
+    BLAS threads ran at 0.73x the serial speed. Each thread would also get its
+    own malloc arena, which keeps the high-water mark of a micro-batch tape;
+    so this must run before the first such thread starts. One BLAS thread also
+    makes each weight-gradient GEMM reduce in one order, so the bits no longer
+    depend on OPENBLAS_NUM_THREADS. Returns False when either setting is out
+    of reach; callers then stay on the calling thread.
+    """
+    try:
+        try:
+            from numpy._core import _multiarray_umath
+        except ImportError:  # NumPy 1
+            from numpy.core import _multiarray_umath
+        blas = ctypes.CDLL(_multiarray_umath.__file__)
+        libc = ctypes.CDLL(None)
+    except (ImportError, OSError):
+        return False
+    set_threads = next((getattr(blas, n) for n in _BLAS_SET_THREADS if hasattr(blas, n)), None)
+    mallopt = getattr(libc, "mallopt", None)
+    if set_threads is None or mallopt is None:
+        return False
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    set_threads(1)
+    return mallopt(_M_ARENA_MAX, 1) == 1
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def init_weights(model: PaPaformerModel, rng: RngState, skip=frozenset()) -> None:
+    """Draw the model's weight matrices in place; deterministic under the rng's (seed, position).
+
+    Weight matrix i, counted in ``named_params`` order with the norm scales
+    left out, is drawn as N(0, INIT_STD) from ``RngState(rng.seed,
+    rng.position + i)``, so each draw is independent of the others and they
+    run on up to one thread per usable CPU with the same bits at any count.
+    Names in ``skip`` keep their data but still use up their position, and
+    ``rng`` ends past every weight matrix either way.
+    """
+    matrices = [(name, t) for name, t in model.named_params().items() if t.data.ndim == 2]
+    jobs = [(t, RngState(rng.seed, rng.position + i)) for i, (name, t) in enumerate(matrices) if name not in skip]
+    rng.position += len(matrices)
+
+    def draw(job):
+        t, stream = job
+        t.data = stream.normal(t.shape, std=INIT_STD)
+
+    workers = min(len(jobs), _usable_cpus()) if _claim_cpus() else 1
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        list(map(draw, jobs) if pool is None else pool.map(draw, jobs))
+
+
 def build(config: ModelConfig, rng: RngState | None) -> PaPaformerModel:
     """Initialize all parameters; deterministic under the rng's (seed, position).
 
@@ -130,35 +216,36 @@ def build(config: ModelConfig, rng: RngState | None) -> PaPaformerModel:
     names, order, shapes and dtypes, with zeros where a fresh build draws
     random weights, and no draws made. Checkpoint loading fills a skeleton;
     parameter counts and composition provenance only read its names and shapes.
+    A seeded build draws the skeleton's weight matrices with ``init_weights``.
     """
     c = config
     before, after = c.split_blocks()
-    embed = weight((c.vocab_size, c.d_model), rng)
+    embed = weight((c.vocab_size, c.d_model), None)
     blocks_before = [
-        LayerBlockParams.init(c.d_model, c.heads_layer, c.ff_layer, rng) for _ in range(before)
+        LayerBlockParams.init(c.d_model, c.heads_layer, c.ff_layer, None) for _ in range(before)
     ]
     down_proj = None
     parallel_layers = []
     if c.connection_kind != "none":
-        down_proj = weight((c.d_model, c.d_path), rng)
+        down_proj = weight((c.d_model, c.d_path), None)
         for i in range(c.n_parallel_layers):
             paths = [
-                LayerBlockParams.init(c.d_path, c.heads_path, c.ff_path, rng)
+                LayerBlockParams.init(c.d_path, c.heads_path, c.ff_path, None)
                 for _ in range(c.k_paths)
             ]
             final = i == c.n_parallel_layers - 1
             if c.connection_kind == "share_linear":
-                conn = ShareLinearParams.init(c.k_paths, c.d_path, c.d_model if final else c.d_path, rng)
+                conn = ShareLinearParams.init(c.k_paths, c.d_path, c.d_model if final else c.d_path, None)
             else:
                 variant = 1 if c.connection_kind == "gumbel_v1" else 2
-                conn = GumbelParams.init(variant, c.k_paths, c.d_path, rng)
+                conn = GumbelParams.init(variant, c.k_paths, c.d_path, None)
             parallel_layers.append(ParallelLayerParams(paths=paths, connection=conn, final=final))
     blocks_after = [
-        LayerBlockParams.init(c.d_model, c.heads_layer, c.ff_layer, rng) for _ in range(after)
+        LayerBlockParams.init(c.d_model, c.heads_layer, c.ff_layer, None) for _ in range(after)
     ]
     final_norm_scale = Tensor(np.ones(c.d_model, dtype=default_dtype()), requires_grad=True)
-    lm_head = weight((c.d_model, c.vocab_size), rng)
-    return PaPaformerModel(
+    lm_head = weight((c.d_model, c.vocab_size), None)
+    model = PaPaformerModel(
         config=c,
         embed=embed,
         blocks_before=blocks_before,
@@ -168,6 +255,9 @@ def build(config: ModelConfig, rng: RngState | None) -> PaPaformerModel:
         final_norm_scale=final_norm_scale,
         lm_head=lm_head,
     )
+    if rng is not None:
+        init_weights(model, rng)
+    return model
 
 
 def trunk(

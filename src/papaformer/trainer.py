@@ -11,8 +11,6 @@ divergence.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 import os
 import time
@@ -26,7 +24,7 @@ from papaformer.blocks import ConfigError, read_config
 from papaformer.checkpoint import save_checkpoint
 from papaformer.data import COMPOSITE_SUB, PATH_CORPORA, PATH_SUB, ChunkStore, make_batches
 from papaformer.losses import cross_entropy, total_loss
-from papaformer.model import ModelConfig, PaPaformerModel, build, forward
+from papaformer.model import ModelConfig, PaPaformerModel, _claim_cpus, _usable_cpus, build, forward
 from papaformer.parallel import GumbelParams
 from papaformer.tensor import NonFiniteError, RngState
 
@@ -190,54 +188,6 @@ def _plan_epoch(chunks: list, epoch: int, cfg: TrainConfig, data_rng: RngState) 
 
 def _steps_in_epoch(n_batches: int, cfg: TrainConfig) -> int:
     return n_batches // cfg.grad_accum_steps
-
-
-# setters of the bundled OpenBLAS's thread count, by build: NumPy 2 wheels, then NumPy 1 wheels
-_BLAS_SET_THREADS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-_M_ARENA_MAX = -8  # glibc mallopt parameter
-
-
-@functools.cache
-def _claim_cpus() -> bool:
-    """Pin NumPy's OpenBLAS to one thread and glibc malloc to one arena, once per process.
-
-    Micro-batches run on one thread each. BLAS threads on top of them would
-    oversubscribe the CPUs: two workers at two BLAS threads ran at 0.73x the
-    serial speed. Each worker thread would also get its own malloc arena, which
-    keeps the high-water mark of a micro-batch tape. One BLAS thread also makes
-    each weight-gradient GEMM reduce in one order, so the bits no longer depend
-    on OPENBLAS_NUM_THREADS. Returns False when either setting is out of reach;
-    training then stays on the calling thread.
-    """
-    try:
-        try:
-            from numpy._core import _multiarray_umath
-        except ImportError:  # NumPy 1
-            from numpy.core import _multiarray_umath
-        blas = ctypes.CDLL(_multiarray_umath.__file__)
-        libc = ctypes.CDLL(None)
-    except (ImportError, OSError):
-        return False
-    set_threads = next((getattr(blas, n) for n in _BLAS_SET_THREADS if hasattr(blas, n)), None)
-    mallopt = getattr(libc, "mallopt", None)
-    if set_threads is None or mallopt is None:
-        return False
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    set_threads(1)
-    return mallopt(_M_ARENA_MAX, 1) == 1
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _micro_step(model: PaPaformerModel, batch: list, rng: RngState, cfg: TrainConfig, step: int) -> tuple:

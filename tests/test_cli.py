@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,3 +371,22 @@ class TestConfigLoading:
     def test_preset_loads_as_mapping(self):
         raw = load_config("base_256")
         assert raw["model"]["d_model"] == 256
+
+    def test_config_and_prompt_readers_close_their_files(self, tmp_path):
+        config, prompts = tmp_path / "tiny.yaml", tmp_path / "prompts.tsv"
+        config.write_text("model:\n  vocab_size: 10\n")
+        prompts.write_text("story\tOnce upon a time\nmath\t3 + 4 =\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        child = (
+            f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            "from papaformer.cli import _read_prompts, load_config\n"
+            f"load_config({str(config)!r})\n"
+            f"_read_prompts({str(prompts)!r})\n"
+        )
+        # a file left open warns when it is collected; the warning is hidden unless -X dev
+        out = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", child],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "ResourceWarning" not in out.stderr

@@ -1,6 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
+import papaformer.model as M
+import papaformer.tensor as T
 from papaformer.checkpoint import load_checkpoint, save_checkpoint
 from papaformer.composer import (
     CompositionError,
@@ -65,6 +69,46 @@ def path_ckpts(tmp_path):
 @pytest.fixture
 def plan(path_ckpts):
     return CompositionPlan(path_checkpoints=path_ckpts, target_config=target_config())
+
+
+PARALLEL_KINDS = ("share_linear", "gumbel_v1", "gumbel_v2")
+
+
+def kind_plan(path_ckpts, kind):
+    return CompositionPlan(path_checkpoints=path_ckpts, target_config=target_config(connection_kind=kind))
+
+
+def param_bytes(model):
+    return [(name, t.data.dtype.str, t.data.tobytes()) for name, t in model.named_params().items()]
+
+
+def full_build_then_overwrite(plan, rng):
+    """Reference composite: a full seeded target build, then the reused and concatenated weights overwritten."""
+    paths = [load_checkpoint(p).model for p in plan.path_checkpoints]
+    model = build(plan.target_config, rng)
+    model.embed.data = np.concatenate([p.embed.data for p in paths], axis=1)
+    model.lm_head.data = np.concatenate([p.lm_head.data for p in paths], axis=0)
+    for j, layer in enumerate(model.parallel_layers):
+        for dst_block, src in zip(layer.paths, paths):
+            src_params = src.blocks_before[j].named_params()
+            for name, t in dst_block.named_params().items():
+                t.data = src_params[name].data
+    return model
+
+
+def force_draw_workers(monkeypatch, n: int) -> None:
+    """Make weight draws run on up to ``n`` threads, whatever the CPU count."""
+    monkeypatch.setattr(M, "_claim_cpus", lambda: True)
+    monkeypatch.setattr(M, "_usable_cpus", lambda: n)
+
+
+@pytest.fixture(params=[np.float32, np.float64], ids=["float32", "float64"])
+def each_default_dtype(request):
+    T.set_default_dtype(request.param)
+    try:
+        yield request.param
+    finally:
+        T.set_default_dtype(np.float32)
 
 
 class TestValidatePlan:
@@ -168,6 +212,61 @@ class TestCompose:
         assert weight_source("parallel1.path0.w_up", tags["parallel1.path0.w_up"]) == "path 1 block_before1.w_up"
         assert weight_source("lm_head", tags["lm_head"]) == "all paths lm_head"
         assert weight_source("down_proj", tags["down_proj"]) == "init policy"
+
+
+class TestDrawsOnlyFreshWeights:
+    @pytest.mark.parametrize("kind", PARALLEL_KINDS)
+    def test_equals_full_build_then_overwrite(self, path_ckpts, kind, each_default_dtype):
+        plan = kind_plan(path_ckpts, kind)
+        rng, ref = RngState(5, 2), RngState(5, 2)
+        assert param_bytes(compose(plan, rng)) == param_bytes(full_build_then_overwrite(plan, ref))
+        assert rng.position == ref.position
+
+    @pytest.mark.parametrize("kind", PARALLEL_KINDS)
+    def test_draws_only_the_fresh_weights(self, path_ckpts, kind, monkeypatch):
+        drawn = []
+        normal = RngState.normal
+
+        def counted(self, shape=(), std=1.0):
+            drawn.append(int(np.prod(shape)))
+            return normal(self, shape, std)
+
+        plan = kind_plan(path_ckpts, kind)
+        monkeypatch.setattr(RngState, "normal", counted)
+        params = compose(plan, RngState(0)).named_params()
+        fresh = [n for n, tag in composition_provenance(plan.target_config).items() if tag == "fresh"]
+        assert sum(drawn) == sum(params[n].size for n in fresh if params[n].data.ndim == 2)
+
+    @pytest.mark.parametrize("kind", PARALLEL_KINDS)
+    def test_bytes_do_not_depend_on_draw_threads(self, path_ckpts, kind, monkeypatch):
+        out = []
+        for n in (1, 2):
+            force_draw_workers(monkeypatch, n)
+            out.append(param_bytes(compose(kind_plan(path_ckpts, kind), RngState(9))))
+        assert out[0] == out[1]
+
+    def test_no_draw_thread_outlives_compose(self, plan, monkeypatch):
+        force_draw_workers(monkeypatch, 2)
+        before = threading.active_count()
+        compose(plan, RngState(0))
+        assert threading.active_count() == before
+
+    def test_failed_draw_propagates_and_leaves_no_thread(self, plan, monkeypatch):
+        calls = []
+        normal = RngState.normal
+
+        def failing(self, shape=(), std=1.0):
+            calls.append(shape)
+            if len(calls) == 3:
+                raise FloatingPointError("draw failed")
+            return normal(self, shape, std)
+
+        force_draw_workers(monkeypatch, 2)
+        monkeypatch.setattr(RngState, "normal", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="draw failed"):
+            compose(plan, RngState(0))
+        assert threading.active_count() == before
 
 
 class TestPassThroughOracle:

@@ -1,8 +1,10 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
+import papaformer.model as M
 import papaformer.tensor as T
 from papaformer.blocks import ConfigError, KVCache, layer_block, rmsnorm
 from papaformer.model import CONNECTION_KINDS, ModelConfig, build, count_params, forward, trunk
@@ -338,3 +340,80 @@ class TestSkeleton:
             h.update(name.encode())
             h.update(t.data.tobytes())
         assert (rng.position, h.hexdigest()[:16]) == (position, digest)
+
+
+def force_draw_workers(monkeypatch, n: int) -> None:
+    """Make weight draws run on up to ``n`` threads, whatever the CPU count."""
+    monkeypatch.setattr(M, "_claim_cpus", lambda: True)
+    monkeypatch.setattr(M, "_usable_cpus", lambda: n)
+
+
+def seeded_build_bytes(kind):
+    rng = RngState(3, 1)
+    params = build(tiny_config(kind), rng).named_params()
+    return rng.position, [(name, t.data.tobytes()) for name, t in params.items()]
+
+
+class TestDrawThreads:
+    @pytest.mark.parametrize("kind", CONNECTION_KINDS)
+    def test_bytes_do_not_depend_on_worker_count(self, kind, monkeypatch):
+        out = []
+        for n in (1, 2):
+            force_draw_workers(monkeypatch, n)
+            out.append(seeded_build_bytes(kind))
+        assert out[0] == out[1]
+
+    def test_no_draw_thread_outlives_build(self, monkeypatch):
+        force_draw_workers(monkeypatch, 2)
+        before = threading.active_count()
+        build(tiny_config("gumbel_v1"), RngState(0))
+        assert threading.active_count() == before
+
+    def test_failed_draw_propagates_and_leaves_no_thread(self, monkeypatch):
+        calls = []
+        normal = RngState.normal
+
+        def failing(self, shape=(), std=1.0):
+            calls.append(shape)
+            if len(calls) == 5:
+                raise FloatingPointError("draw failed")
+            return normal(self, shape, std)
+
+        force_draw_workers(monkeypatch, 2)
+        monkeypatch.setattr(RngState, "normal", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="draw failed"):
+            build(tiny_config("gumbel_v2"), RngState(0))
+        assert threading.active_count() == before
+
+    def test_cpus_are_claimed_before_the_first_draw_thread(self, monkeypatch):
+        # a thread started before the one-arena setting keeps its own malloc
+        # arena, which later micro-batch workers reuse; no test reads memory
+        # use, so the order is checked directly
+        events = []
+
+        class RecordingPool(M.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                events.append(("pool", threading.active_count()))
+                super().__init__(*args, **kwargs)
+
+        def claim():
+            events.append(("claim", threading.active_count()))
+            return True
+
+        before = threading.active_count()
+        monkeypatch.setattr(M, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(M, "_claim_cpus", claim)
+        monkeypatch.setattr(M, "_usable_cpus", lambda: 2)
+        build(tiny_config("share_linear"), RngState(0))
+        assert events == [("claim", before), ("pool", before)]
+
+    def test_draws_stay_serial_when_cpus_cannot_be_claimed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw thread started without the CPU claim")
+
+        expected = seeded_build_bytes("gumbel_v1")
+        monkeypatch.setattr(M, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(M, "_claim_cpus", lambda: False)
+        monkeypatch.setattr(M, "_usable_cpus", lambda: 2)
+        assert seeded_build_bytes("gumbel_v1") == expected
