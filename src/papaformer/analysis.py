@@ -10,7 +10,9 @@ count as incorrect.
 
 Every forward here runs under ``no_grad``: nothing is backpropagated, so no
 tape is recorded. The traces run the model only up to its last parallel
-layer (``model.trunk``), where their records are complete.
+layer (``model.trunk``), where their records are complete. Routing traces and
+``generate`` read one position, so their forwards pass ``last_row``: after
+the keys and values, the last attention layer runs that position alone.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from papaformer.blocks import KVCache
+from papaformer.blocks import ConfigError, KVCache
 from papaformer.data import PATH_CORPORA
 from papaformer.model import PaPaformerModel, forward, trunk
 from papaformer.tensor import RngState, Tensor, cosine_similarity, no_grad
@@ -79,7 +81,11 @@ class UtilizationReport:
 
 
 def trace_routing(model: PaPaformerModel, prompt_tokens: np.ndarray, position: int | None = None) -> RoutingTrace:
-    """Argmax routing per parallel layer at the probed prompt position."""
+    """Argmax routing per parallel layer at the probed prompt position (default: the last).
+
+    Routing is causal, so the trunk runs the prompt only up to the probe, and
+    its last parallel layer only at the probe (``last_row``).
+    """
     kind = model.config.connection_kind
     if kind not in ("gumbel_v1", "gumbel_v2"):
         raise AnalysisError(
@@ -90,8 +96,8 @@ def trace_routing(model: PaPaformerModel, prompt_tokens: np.ndarray, position: i
     if not 0 <= pos < len(tokens):
         raise AnalysisError(f"probe position {pos} is outside the {len(tokens)}-token prompt")
     with no_grad():
-        _, records = trunk(model, tokens)
-    pis = [rec.pi.data[0, pos].copy() for rec in records]
+        _, records = trunk(model, tokens[: pos + 1], last_row=True)
+    pis = [rec.pi.data[0, -1].copy() for rec in records]
     selections = [int(np.argmax(pi)) for pi in pis]  # np.argmax breaks ties at the lowest index
     return RoutingTrace(
         prompt_tokens=tokens,
@@ -218,8 +224,14 @@ def generate(
     picked. Contexts longer than max_seq_len are truncated from the left with
     a warning, keeping the most recent tokens visible to the model; since that
     shifts every position, each such step drops the cache and runs the whole
-    window.
+    window. Every forward reads only the last position's logits, so each runs
+    with ``last_row``. ``top_n`` below 1 or ``max_new_tokens`` below 0 raises
+    ConfigError.
     """
+    if top_n < 1:
+        raise ConfigError(f"top_n: must be at least 1, got {top_n}")
+    if max_new_tokens < 0:
+        raise ConfigError(f"max_new_tokens: must be at least 0, got {max_new_tokens}")
     if mode not in ("greedy", "sample"):
         raise AnalysisError(f"unknown generation mode {mode!r}")
     if mode == "sample" and temperature > 0 and rng is None:
@@ -236,7 +248,7 @@ def generate(
         else:
             fresh = tokens[cache.length :]
         with no_grad():
-            logits, _ = forward(model, np.asarray(fresh, dtype=np.int64), cache=cache)
+            logits, _ = forward(model, np.asarray(fresh, dtype=np.int64), cache=cache, last_row=True)
         probs = _softmax(logits.data[-1])
         order = np.argsort(-probs)
         if mode == "greedy" or temperature <= 0:

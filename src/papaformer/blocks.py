@@ -209,10 +209,11 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, kv: tuple | None = None) -
     backward pass instead of recomputing them, the store side of the same
     paper's trade-off. Up to ATTN_TILE queries run as one tile over all keys.
 
-    With a K/V cache, ``kv`` holds the keys and values of all S positions as
-    head-major [B, heads, S, head_dim] arrays, of which ``k`` and ``v`` are the
-    last T; the queries sit at those T positions and gradients reach only the
-    new ``k`` and ``v``.
+    The T queries sit at the last T of the S key positions. The keys and
+    values are ``k`` and ``v`` themselves, or, with a K/V cache, ``kv``: those
+    of all S positions as head-major [B, heads, S, head_dim] arrays, of which
+    ``k`` and ``v`` are the last rows. Either way ``k`` and ``v`` may carry
+    more rows than ``q``, and the gradients reach exactly the rows they carry.
     """
     b, t, heads, head_dim = q.shape
     qh = q.data.transpose(0, 2, 1, 3)
@@ -245,7 +246,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, kv: tuple | None = None) -
                 dk[..., :end, :] += tile_dk
                 dv[..., :end, :] += tile_dv
         dq = dq[0] if len(dq) == 1 else np.concatenate(dq[::-1], axis=-2)
-        grads = ((q, dq), (k, dk[..., -t:, :]), (v, dv[..., -t:, :]))
+        grads = ((q, dq), (k, dk[..., -k.shape[1] :, :]), (v, dv[..., -v.shape[1] :, :]))
         return tuple((z, dz.transpose(0, 2, 1, 3)) for z, dz in grads)
 
     return Tensor(out, _parents=(q, k, v), _backward=bwd)
@@ -257,29 +258,40 @@ class KVCache:
     ``generate`` creates one per continuation and passes it down the forward
     path, so each step runs only its new tokens. Slots are keyed by the
     block's ``LayerBlockParams`` object; every block of a model is its own.
+    Each block keeps one key and one value buffer, [B, heads, capacity,
+    head_dim], that ``extend`` writes in place; on overflow the capacity
+    doubles (or grows to fit), so a cached step copies only its own rows.
     """
 
     def __init__(self):
-        self._kv = {}  # id(LayerBlockParams) -> (keys, values), each [B, heads, S, head_dim]
+        self._kv = {}  # id(LayerBlockParams) -> (keys, values, positions filled)
 
     def start(self, params: LayerBlockParams) -> int:
         """Positions already cached for this block: the position of its next token."""
         kv = self._kv.get(id(params))
-        return 0 if kv is None else kv[0].shape[2]
+        return 0 if kv is None else kv[2]
 
     @property
     def length(self) -> int:
         """Positions cached so far; after a forward, every block holds this many."""
-        return max((k.shape[2] for k, _ in self._kv.values()), default=0)
+        return max((n for _, _, n in self._kv.values()), default=0)
 
     def extend(self, params: LayerBlockParams, k: np.ndarray, v: np.ndarray) -> tuple:
-        """Append new [B, T, heads, head_dim] keys and values; return all of them head-major."""
-        kv = tuple(z.transpose(0, 2, 1, 3) for z in (k, v))
-        old = self._kv.get(id(params))
-        if old is not None:
-            kv = tuple(np.concatenate((a, z), axis=2) for a, z in zip(old, kv))
-        self._kv[id(params)] = kv
-        return kv
+        """Write new [B, T, heads, head_dim] keys and values; return views of all of them, head-major."""
+        keys, values, start = self._kv.get(id(params), (None, None, 0))
+        end = start + k.shape[1]
+        if keys is None or end > keys.shape[2]:
+            b, _, heads, head_dim = k.shape
+            capacity = end if keys is None else max(end, 2 * keys.shape[2])
+            grown = [np.empty((b, heads, capacity, head_dim), dtype=z.dtype) for z in (k, v)]
+            if start:
+                for buf, old in zip(grown, (keys, values)):
+                    buf[:, :, :start] = old[:, :, :start]
+            keys, values = grown
+        keys[:, :, start:end] = k.transpose(0, 2, 1, 3)
+        values[:, :, start:end] = v.transpose(0, 2, 1, 3)
+        self._kv[id(params)] = (keys, values, end)
+        return keys[:, :, :end], values[:, :, :end]
 
 
 def _heads(x: Tensor, w: Tensor, heads: int, positions: np.ndarray | None = None) -> Tensor:
@@ -290,22 +302,30 @@ def _heads(x: Tensor, w: Tensor, heads: int, positions: np.ndarray | None = None
 
 
 def causal_mha(
-    x: Tensor, params: LayerBlockParams, max_seq_len: int | None = None, cache: KVCache | None = None
+    x: Tensor,
+    params: LayerBlockParams,
+    max_seq_len: int | None = None,
+    cache: KVCache | None = None,
+    last_row: bool = False,
 ) -> Tensor:
     """Scaled dot-product attention with a strict causal mask and RoPE on q, k.
 
     With a ``cache``, x holds the positions after those already cached: q and k
     are rotated at their absolute positions, k and v are appended to the cache,
-    and the queries attend over every cached key.
+    and the queries attend over every cached key. With ``last_row``, keys and
+    values cover every position but only the last one gets a query, so the
+    output is that position's row alone.
     """
     t = x.shape[1]
     start = 0 if cache is None else cache.start(params)
     if max_seq_len is not None and start + t > max_seq_len:
         raise ConfigError(f"sequence length {start + t} exceeds max_seq_len {max_seq_len}")
     positions = start + np.arange(t)
-    q = _heads(x, params.wq, params.heads, positions)
     k = _heads(x, params.wk, params.heads, positions)
     v = _heads(x, params.wv, params.heads)
+    if last_row:
+        x, positions = x[:, -1:], positions[-1:]
+    q = _heads(x, params.wq, params.heads, positions)
     kv = None if cache is None else cache.extend(params, k.data, v.data)
     return causal_attention(q, k, v, kv) @ params.wo
 
@@ -316,11 +336,18 @@ def swiglu_ffn(x: Tensor, params: LayerBlockParams) -> Tensor:
 
 
 def layer_block(
-    x: Tensor, params: LayerBlockParams, max_seq_len: int | None = None, cache: KVCache | None = None
+    x: Tensor,
+    params: LayerBlockParams,
+    max_seq_len: int | None = None,
+    cache: KVCache | None = None,
+    last_row: bool = False,
 ) -> Tensor:
     """Pre-norm residual layer: x + mha(norm(x)), then h + ffn(norm(h)).
 
-    ``cache`` is passed to ``causal_mha``.
+    ``cache`` and ``last_row`` are passed to ``causal_mha``; with ``last_row``
+    the residual and the feed-forward run on the last position only, and the
+    output is its [B, 1, d] row.
     """
-    h = x + causal_mha(rmsnorm(x, params.norm1_scale), params, max_seq_len, cache)
+    attn = causal_mha(rmsnorm(x, params.norm1_scale), params, max_seq_len, cache, last_row)
+    h = (x[:, -1:] if last_row else x) + attn
     return h + swiglu_ffn(rmsnorm(h, params.norm2_scale), params)

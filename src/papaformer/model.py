@@ -217,6 +217,8 @@ def build(config: ModelConfig, rng: RngState | None) -> PaPaformerModel:
     random weights, and no draws made. Checkpoint loading fills a skeleton;
     parameter counts and composition provenance only read its names and shapes.
     A seeded build draws the skeleton's weight matrices with ``init_weights``.
+    Every build claims the CPUs (``_claim_cpus``), a skeleton build too, so a
+    process that only loads checkpoints computes at one BLAS thread as well.
     """
     c = config
     before, after = c.split_blocks()
@@ -256,7 +258,9 @@ def build(config: ModelConfig, rng: RngState | None) -> PaPaformerModel:
         lm_head=lm_head,
     )
     if rng is not None:
-        init_weights(model, rng)
+        init_weights(model, rng)  # claims the CPUs before its first draw thread
+    else:
+        _claim_cpus()
     return model
 
 
@@ -266,13 +270,18 @@ def trunk(
     rng: RngState | None = None,
     training: bool = False,
     cache: KVCache | None = None,
+    last_row: bool = False,
 ) -> tuple:
     """The model up to its last parallel layer: ([B, T, width] activations, routing records).
 
     Runs the embedding, the blocks before the parallel core, the
     down-projection and the parallel layers of a [T] or [B, T] id array; a
     [T] array runs as one batch row. Routing traces read everything they need
-    from the records, so they stop here. Arguments are those of ``forward``.
+    from the records, so they stop here. With ``last_row``, the trunk's last
+    attention layer (the last parallel layer, or a baseline's last block)
+    computes keys and values at every position but the rest of it at the
+    last position only, so T is 1 in its output and records. Other arguments
+    are those of ``forward``.
     """
     c = model.config
     tokens = np.asarray(tokens)
@@ -282,14 +291,17 @@ def trunk(
     if length > c.max_seq_len:
         raise ConfigError(f"sequence length {length} exceeds max_seq_len {c.max_seq_len}")
     x = embedding(model.embed, tokens)
-    for b in model.blocks_before:
-        x = layer_block(x, b, c.max_seq_len, cache=cache)
+    before, layers = model.blocks_before, model.parallel_layers
+    for i, b in enumerate(before):
+        x = layer_block(x, b, c.max_seq_len, cache, last_row and not layers and i == len(before) - 1)
+    if last_row and not before and not layers:
+        x = x[:, -1:]  # a baseline without blocks has no attention layer to cut the rows
     records = []
-    if c.connection_kind != "none":
+    if layers:
         x = x @ model.down_proj
-        for layer in model.parallel_layers:
+        for i, layer in enumerate(layers):
             x, rec = parallel_layer_forward(
-                x, layer, c.gumbel, rng=rng, training=training, max_seq_len=c.max_seq_len, cache=cache
+                x, layer, c.gumbel, rng, training, c.max_seq_len, cache, last_row and i == len(layers) - 1
             )
             records.append(rec)
     return x, records
@@ -301,6 +313,7 @@ def forward(
     rng: RngState | None = None,
     training: bool = False,
     cache: KVCache | None = None,
+    last_row: bool = False,
 ) -> tuple:
     """Next-token logits for a [T] or [B, T] id array, plus routing records.
 
@@ -310,11 +323,20 @@ def forward(
     continue the ``cache.length`` positions already run through it, and
     logits and records cover the new tokens only; every other layer acts on
     each position alone, so only attention needs the cache.
+
+    ``last_row`` is for forward-only callers that read the last position's
+    logits alone. The model's last attention layer (the last block after the
+    parallel core, else as in ``trunk``) still computes and caches keys and
+    values at every position, but its queries, attention, output projection,
+    residual and feed-forward, and then the final norm and the LM head, run
+    on the last position only: the logits are its [B, 1, vocab] row, or
+    [1, vocab] for a [T] array. Records of that layer cover the same row.
     """
     c = model.config
-    x, records = trunk(model, tokens, rng, training, cache)
-    for b in model.blocks_after:
-        x = layer_block(x, b, c.max_seq_len, cache=cache)
+    after = model.blocks_after
+    x, records = trunk(model, tokens, rng, training, cache, last_row and not after)
+    for i, b in enumerate(after):
+        x = layer_block(x, b, c.max_seq_len, cache, last_row and i == len(after) - 1)
     x = rmsnorm(x, model.final_norm_scale)
     logits = x @ model.lm_head
     if np.ndim(tokens) == 1:

@@ -107,9 +107,11 @@ class ParallelLayerParams:
         return out
 
 
-def run_paths(x: Tensor, paths: list, max_seq_len: int | None = None, cache: KVCache | None = None) -> list:
+def run_paths(
+    x: Tensor, paths: list, max_seq_len: int | None = None, cache: KVCache | None = None, last_row: bool = False
+) -> list:
     """Run each path block independently on the same input."""
-    return [layer_block(x, p, max_seq_len, cache) for p in paths]
+    return [layer_block(x, p, max_seq_len, cache, last_row) for p in paths]
 
 
 def concat_paths(outputs: list) -> Tensor:
@@ -213,15 +215,17 @@ def parallel_layer_forward(
     training: bool = True,
     max_seq_len: int | None = None,
     cache: KVCache | None = None,
+    last_row: bool = False,
 ) -> tuple:
     """One parallel layer: run paths, then fuse with the layer's connection.
 
     Inter-layer output stays at width d'; a ``params.final`` layer restores
     the full width d. Gumbel routing weights are computed and recorded at
-    every layer, for the auxiliary losses and routing traces. ``cache`` is
-    passed to every path's attention.
+    every layer, for the auxiliary losses and routing traces. ``cache`` and
+    ``last_row`` are passed to every path block; with ``last_row`` the paths
+    return the last position only, so output and records cover that row.
     """
-    outputs = run_paths(x, params.paths, max_seq_len, cache)
+    outputs = run_paths(x, params.paths, max_seq_len, cache, last_row)
     conn = params.connection
     if isinstance(conn, ShareLinearParams):
         y = concat_paths(outputs) @ conn.w  # y = W [f_1 ; ... ; f_k]

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +22,8 @@ from papaformer.analysis import (
 )
 from papaformer.blocks import ConfigError
 from papaformer.data import ToyTokenizer, synthetic_math_corpus, synthetic_story_corpus
-from papaformer.model import CONNECTION_KINDS, ModelConfig, build, forward
-from papaformer.tensor import RngState, Tensor, cosine_similarity
+from papaformer.model import CONNECTION_KINDS, ModelConfig, build, forward, trunk
+from papaformer.tensor import RngState, Tensor, cosine_similarity, no_grad
 
 VOCAB = 30
 
@@ -117,6 +121,21 @@ class TestRoutingTrace:
     def test_prompt_past_max_seq_len(self, gumbel_model):
         with pytest.raises(ConfigError, match="17 exceeds max_seq_len 16"):
             trace_routing(gumbel_model, np.zeros(17, dtype=np.int64))
+
+    @pytest.mark.parametrize("kind", ["gumbel_v1", "gumbel_v2"])
+    def test_interior_probe_is_trace_of_cut_prompt(self, kind):
+        m = build(model_config(kind, n_parallel=3, n_layer_blocks=2), RngState(8))
+        prompt = np.random.default_rng(4).integers(0, VOCAB, size=12)
+        with no_grad():
+            _, records = trunk(m, prompt)
+        for pos in (0, 5, 11):
+            trace = trace_routing(m, prompt, position=pos)
+            cut = trace_routing(m, prompt[: pos + 1])
+            assert trace.position == cut.position == pos
+            assert trace.selections == cut.selections
+            assert [p.tobytes() for p in trace.pis] == [p.tobytes() for p in cut.pis]
+            for pi, rec in zip(trace.pis, records):
+                np.testing.assert_allclose(pi, rec.pi.data[0, pos], rtol=0, atol=1e-6)
 
     def test_combined_label(self):
         t = RoutingTrace(PROMPT, selections=[2, 0], pis=[], position=4, k=2)
@@ -278,6 +297,17 @@ class TestGenerate:
         with pytest.raises(AnalysisError, match="empty prompt"):
             generate(gumbel_model, [], 3)
 
+    @pytest.mark.parametrize("counts", [dict(top_n=0), dict(top_n=-1), dict(max_new_tokens=-3)])
+    def test_bad_counts(self, gumbel_model, counts):
+        args = dict(max_new_tokens=2, top_n=5) | counts
+        (name,) = counts
+        with pytest.raises(ConfigError, match=name):
+            generate(gumbel_model, PROMPT, **args)
+
+    def test_zero_new_tokens(self, gumbel_model):
+        result = generate(gumbel_model, PROMPT, 0)
+        assert result.new_tokens == [] and list(result.tokens) == list(PROMPT)
+
     def test_bad_mode(self, gumbel_model):
         with pytest.raises(AnalysisError, match="mode"):
             generate(gumbel_model, PROMPT, 1, mode="beam")
@@ -329,3 +359,39 @@ class TestCachedGenerate:
         limit = m.config.max_seq_len
         truncated = sum("truncated" in str(w.message) for w in caught)
         assert truncated == sum(prompt_len + i > limit for i in range(n))
+
+
+def loaded_generate_probs(path) -> str:
+    """Every top-n probability of 6 greedy steps from the checkpoint at ``path``, as text.
+
+    The process builds nothing before this: only the load can pin the BLAS threads.
+    """
+    from papaformer.checkpoint import load_checkpoint
+
+    result = generate(load_checkpoint(str(path)).model, np.arange(1, 40), 6)
+    return repr([step.top_tokens for step in result.steps])
+
+
+class TestLoadedModelBlasThreads:
+    def test_generate_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        # float32 [1, 128] @ [128, 5000], the LM head of a cached step, changes its
+        # last bits between one and two OpenBLAS threads unless the load pins one
+        from papaformer.checkpoint import save_checkpoint
+        from papaformer.cli import load_config
+
+        path = tmp_path / "path.ppck"
+        save_checkpoint(str(path), build(ModelConfig.from_dict({**load_config("path")["model"], "vocab_size": 5000}),
+                                         RngState(0)))
+        tests = Path(__file__).resolve().parent
+        child = (
+            "import sys\n"
+            f"sys.path[:0] = [{str(tests.parent / 'src')!r}, {str(tests)!r}]\n"
+            "from test_analysis import loaded_generate_probs\n"
+            f"print(loaded_generate_probs({str(path)!r}))\n"
+        )
+        probs = {}
+        for n in (1, 2):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(n), "OMP_NUM_THREADS": str(n), "MKL_NUM_THREADS": str(n)}
+            probs[n] = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True,
+                                      check=True).stdout
+        assert probs[1] == probs[2]

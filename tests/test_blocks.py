@@ -319,6 +319,95 @@ class TestTiledAttention:
         check_grad(loss, qkv[wrt][:, c:], h=1e-5, tol=1e-6)
 
 
+class TestFewerQueriesThanKeys:
+    """Queries at the last T of S key positions, as a last-row forward runs them: 3 queries over 7 keys."""
+
+    QUERIES, KEYS = 3, 7
+
+    def qkv(self, seed, queries=QUERIES):
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(2, queries, 2, 4))
+        return [q] + [rng.normal(size=(2, self.KEYS, 2, 4)) for _ in range(2)]
+
+    def test_matches_last_rows_of_full_attention(self, float64):
+        q, k, v = self.qkv(40)
+        earlier = np.random.default_rng(41).normal(size=(2, self.KEYS - self.QUERIES, 2, 4))
+        ref = loop_attention(np.concatenate([earlier, q], axis=1), k, v)[:, -self.QUERIES :]
+        got = blocks.causal_attention(Tensor(q), Tensor(k), Tensor(v)).data
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("wrt", [0, 1, 2], ids=["q", "k", "v"])
+    def test_grad_reaches_every_row_float64(self, wrt, float64):
+        qkv = self.qkv(42)
+        probe = Tensor(np.random.default_rng(43).normal(size=(2, self.QUERIES, 8)))
+
+        def loss(z):
+            args = [Tensor(a) for a in qkv]
+            args[wrt] = z
+            return (blocks.causal_attention(*args) * probe).sum()
+
+        check_grad(loss, qkv[wrt], h=1e-5, tol=1e-6)
+        leaf = Tensor(qkv[wrt], requires_grad=True)
+        loss(leaf).backward()
+        assert leaf.grad.shape == qkv[wrt].shape
+        assert np.all(np.abs(leaf.grad).sum(axis=(0, 2, 3)) > 0)
+
+    @pytest.mark.parametrize("wrt", [0, 1, 2], ids=["q", "k", "v"])
+    def test_cached_grad_float64(self, wrt, float64):
+        # one query over a cache whose last two rows are new: dk and dv cover those two rows
+        q, k, v = self.qkv(44, queries=1)
+        new = [q, k[:, -2:].copy(), v[:, -2:].copy()]  # fdcheck perturbs its input through a flat view
+        probe = Tensor(np.random.default_rng(45).normal(size=(2, 1, 8)))
+
+        def loss(z):
+            args = [Tensor(a) for a in new]
+            args[wrt] = z
+            kv = head_major(np.concatenate([k[:, :-2], args[1].data], axis=1),
+                            np.concatenate([v[:, :-2], args[2].data], axis=1))
+            return (blocks.causal_attention(*args, kv) * probe).sum()
+
+        check_grad(loss, new[wrt], h=1e-5, tol=1e-6)
+
+    @pytest.mark.parametrize("wrt", ["x", "wq", "wk", "wv", "wo", "w_down"])
+    def test_last_row_layer_block_grad_float64(self, wrt, float64):
+        p = make_params(seed=5)
+        rng = np.random.default_rng(46)
+        x0 = rng.random((2, 6, 8)) * 2 - 1
+        probe = Tensor(rng.normal(size=(2, 1, 8)))
+        np.testing.assert_allclose(layer_block(Tensor(x0), p, last_row=True).data,
+                                   layer_block(Tensor(x0), p).data[:, -1:], rtol=1e-12, atol=1e-12)
+        if wrt == "x":
+            check_grad(lambda x: (layer_block(x, p, last_row=True) * probe).sum(), x0, h=1e-5, tol=1e-6)
+            leaf = Tensor(x0, requires_grad=True)
+            (layer_block(leaf, p, last_row=True) * probe).sum().backward()
+            assert np.all(np.abs(leaf.grad).sum(axis=(0, 2)) > 0)  # every key position gets a gradient
+        else:
+            x = Tensor(x0)
+            check_grad(
+                lambda w: (layer_block(x, replace(p, **{wrt: w}), last_row=True) * probe).sum(),
+                getattr(p, wrt).data * 10,
+                h=1e-5,
+                tol=1e-6,
+            )
+
+
+class TestKVCache:
+    def test_cached_steps_write_one_buffer_in_place(self):
+        p = make_params()
+        rng = np.random.default_rng(47)
+        rows = [rng.normal(size=(1, t, 2, 4)).astype(np.float32) for t in (5, 1, 1, 1)]
+        cache = blocks.KVCache()
+        keys = [cache.extend(p, r, -r)[0] for r in rows]
+        assert cache.start(p) == cache.length == 8
+        # the first step outgrows the prompt's buffer; from then on steps write in place
+        assert not np.shares_memory(keys[0], keys[1])
+        assert np.shares_memory(keys[1], keys[2]) and np.shares_memory(keys[2], keys[3])
+        want = np.concatenate(rows, axis=1).transpose(0, 2, 1, 3)
+        np.testing.assert_array_equal(keys[-1], want)
+        np.testing.assert_array_equal(keys[0], want[:, :, :5])  # earlier views keep their rows
+        assert keys[-1].dtype == np.float32
+
+
 class TestSwiglu:
     def test_zero_input(self):
         p = make_params()

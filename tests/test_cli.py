@@ -220,6 +220,13 @@ class TestCompose:
         assert rc == EXIT_DATA
         assert "empty prompt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--top-n", "0"), ("--top-n", "-1"), ("--max-new-tokens", "-3")])
+    def test_bad_generate_counts_exit_config(self, workdir, capsys, flag, value):
+        rc = main(["generate", "--checkpoint", str(workdir / "composite.ppck"), "--data", str(workdir / "store.ppch"),
+                   "--prompt", "Once upon a time", flag, value])
+        assert rc == EXIT_CONFIG
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
     def test_plan_validated_once(self, workdir, monkeypatch):
         calls = []
         real = composer.validate_plan

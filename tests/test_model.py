@@ -263,6 +263,82 @@ class TestTrunk:
             trunk(m, np.zeros(17, dtype=np.int64))
 
 
+# (connection kind, n_layer_blocks): the last attention layer is a block after the
+# parallel core, the last parallel layer's paths, a baseline's last block, or none
+LAST_ROW_SHAPES = [(kind, 2) for kind in CONNECTION_KINDS] + [
+    ("gumbel_v1", 1), ("share_linear", 1), ("gumbel_v2", 0), ("none", 1), ("none", 0),
+]
+
+
+class ConcatCache:
+    """A K/V cache that concatenates every step's keys and values onto copies of the old ones."""
+
+    def __init__(self):
+        self.kv = {}
+
+    def start(self, params) -> int:
+        kv = self.kv.get(id(params))
+        return 0 if kv is None else kv[0].shape[2]
+
+    @property
+    def length(self) -> int:
+        return max((k.shape[2] for k, _ in self.kv.values()), default=0)
+
+    def extend(self, params, k, v) -> tuple:
+        kv = tuple(z.transpose(0, 2, 1, 3) for z in (k, v))
+        old = self.kv.get(id(params))
+        if old is not None:
+            kv = tuple(np.concatenate((a, z), axis=2) for a, z in zip(old, kv))
+        self.kv[id(params)] = kv
+        return kv
+
+
+class TestLastRow:
+    @pytest.mark.parametrize("kind,n_blocks", LAST_ROW_SHAPES)
+    def test_logits_are_last_row_of_full_forward(self, kind, n_blocks, each_default_dtype):
+        tol = 1e-6 if each_default_dtype == np.float32 else 1e-13
+        m = build(tiny_config(kind, n_layer_blocks=n_blocks), RngState(5))
+        toks = np.random.default_rng(2).integers(0, 13, size=(2, 12))
+        full, _ = forward(m, toks)
+        last, _ = forward(m, toks, last_row=True)
+        assert last.shape == (2, 1, 13) and last.data.dtype == each_default_dtype
+        np.testing.assert_allclose(last.data, full.data[:, -1:], rtol=0, atol=tol)
+        one, _ = forward(m, toks[0], last_row=True)
+        assert one.shape == (1, 13)
+        # through a cache: a prompt, a two-token chunk, then one token
+        cache, ref = KVCache(), KVCache()
+        for a, b in ((0, 7), (7, 9), (9, 10)):
+            got, _ = forward(m, toks[:, a:b], cache=cache, last_row=True)
+            want, _ = forward(m, toks[:, a:b], cache=ref)
+            np.testing.assert_allclose(got.data, want.data[:, -1:], rtol=0, atol=tol)
+            np.testing.assert_allclose(got.data, full.data[:, b - 1 : b], rtol=0, atol=10 * tol)
+        assert cache.length == (0 if (kind, n_blocks) == ("none", 0) else 10)  # no attention, nothing cached
+
+    @pytest.mark.parametrize("kind", CONNECTION_KINDS)
+    def test_trunk_records_cover_the_last_row(self, kind):
+        m = build(tiny_config(kind, n_layer_blocks=1), RngState(6))
+        toks = np.random.default_rng(3).integers(0, 13, size=(2, 9))
+        x, records = trunk(m, toks)
+        last, last_records = trunk(m, toks, last_row=True)
+        assert last.shape == (2, 1, x.shape[2])
+        np.testing.assert_allclose(last.data, x.data[:, -1:], atol=1e-6)
+        for rec, full in zip(last_records[:-1], records[:-1]):
+            assert record_bytes([rec]) == record_bytes([full])  # only the last parallel layer is cut
+        if kind.startswith("gumbel"):
+            assert last_records[-1].pi.shape == (2, 1, 3)
+            np.testing.assert_allclose(last_records[-1].pi.data, records[-1].pi.data[:, -1:], atol=1e-6)
+
+    @pytest.mark.parametrize("kind", CONNECTION_KINDS)
+    def test_cached_steps_are_bit_identical_to_a_concatenating_cache(self, kind):
+        m = build(tiny_config(kind, d_model=64, d_path=32, ff_layer=96, ff_path=48, max_seq_len=64), RngState(7))
+        toks = np.random.default_rng(4).integers(0, 13, size=30)
+        inplace, concat = KVCache(), ConcatCache()
+        for a, b in [(0, 21)] + [(i, i + 1) for i in range(21, 30)]:
+            got, _ = forward(m, toks[a:b], cache=inplace, last_row=True)
+            want, _ = forward(m, toks[a:b], cache=concat, last_row=True)
+            assert got.data.tobytes() == want.data.tobytes()
+
+
 class TestCountParams:
     def test_base_256_in_32m_class(self):
         total, _ = count_params(build(reference_config("base_256"), RngState(0)))
@@ -407,6 +483,13 @@ class TestDrawThreads:
         monkeypatch.setattr(M, "_usable_cpus", lambda: 2)
         build(tiny_config("share_linear"), RngState(0))
         assert events == [("claim", before), ("pool", before)]
+
+    def test_skeleton_build_claims_cpus(self, monkeypatch):
+        # loading a checkpoint builds a skeleton; its forwards then run at one BLAS thread too
+        calls = []
+        monkeypatch.setattr(M, "_claim_cpus", lambda: calls.append(1) or True)
+        build(tiny_config("gumbel_v2"), None)
+        assert calls == [1]
 
     def test_draws_stay_serial_when_cpus_cannot_be_claimed(self, monkeypatch):
         def refuse(*args, **kwargs):
