@@ -265,16 +265,14 @@ class KVCache:
 
     def __init__(self):
         self._kv = {}  # id(LayerBlockParams) -> (keys, values, positions filled)
+        # positions run so far: ``model.trunk`` sets it on every forward, so it
+        # counts them also in a model with no attention block to extend
+        self.length = 0
 
     def start(self, params: LayerBlockParams) -> int:
         """Positions already cached for this block: the position of its next token."""
         kv = self._kv.get(id(params))
         return 0 if kv is None else kv[2]
-
-    @property
-    def length(self) -> int:
-        """Positions cached so far; after a forward, every block holds this many."""
-        return max((n for _, _, n in self._kv.values()), default=0)
 
     def extend(self, params: LayerBlockParams, k: np.ndarray, v: np.ndarray) -> tuple:
         """Write new [B, T, heads, head_dim] keys and values; return views of all of them, head-major."""
@@ -291,6 +289,7 @@ class KVCache:
         keys[:, :, start:end] = k.transpose(0, 2, 1, 3)
         values[:, :, start:end] = v.transpose(0, 2, 1, 3)
         self._kv[id(params)] = (keys, values, end)
+        self.length = max(self.length, end)
         return keys[:, :, :end], values[:, :, :end]
 
 

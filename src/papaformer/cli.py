@@ -16,6 +16,7 @@ import importlib.resources
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 import yaml
@@ -142,10 +143,11 @@ def cmd_pretokenize(args) -> int:
     store = build_chunk_store(corpora, seq_len=args.seq_len, seed=args.seed, byte_fallback=args.byte_fallback)
     store.save(args.out)
     print(f"wrote {args.out}: vocab={store.tokenizer.vocab_size} seq_len={store.seq_len}")
-    for tag in sorted({c.corpus for c in store.chunks}):
+    counts = Counter((c.corpus, c.sub_collection, c.epoch) for c in store.chunks)
+    for tag in sorted({tag for tag, _, _ in counts}):
         for sub in (PATH_SUB, COMPOSITE_SUB):
             for epoch in (1, 2):
-                n = len(store.select(corpus=tag, sub=sub, epoch=epoch))
+                n = counts[tag, sub, epoch]
                 print(f"  {tag} sub{sub} epoch{epoch}: {n} chunks ({n * store.seq_len} tokens)")
     return EXIT_OK
 

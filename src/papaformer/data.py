@@ -10,10 +10,12 @@ on the 40% remainder, baselines on everything.
 
 from __future__ import annotations
 
+import array
 import json
-import re
+import os
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from papaformer.tensor import RngState
 SEQ_LEN_DEFAULT = 256
 CHUNKSTORE_MAGIC = b"PPCH"
 CHUNKSTORE_VERSION = 1
+_STORE_HEADER = struct.Struct("<4sIIQ")  # magic, version, seq_len, chunk count
 
 # Path i + 1 pretrains on the PATH_SUB sub-collection of corpus PATH_CORPORA[i];
 # composites train on the COMPOSITE_SUB remainder of every corpus.
@@ -30,8 +33,6 @@ PATH_SUB, COMPOSITE_SUB = 60, 40
 
 EOS_TOKEN = "<eos>"
 UNK_TOKEN = "<unk>"
-
-_WORD_RE = re.compile(r"\S+")
 
 
 class DataError(ValueError):
@@ -52,8 +53,9 @@ class Corpus:
 class ToyTokenizer:
     """Whitespace word-level tokenizer with optional byte fallback.
 
-    ids are dense: 0 = EOS, 1 = UNK, then (in byte-fallback mode) 256 byte
-    tokens, then the word vocabulary in first-seen order.
+    Words are the runs of non-whitespace ``str.split()`` returns. ids are
+    dense: 0 = EOS, 1 = UNK, then (in byte-fallback mode) 256 byte tokens,
+    then the word vocabulary in first-seen order.
     """
 
     vocab: dict  # token string -> id
@@ -69,10 +71,9 @@ class ToyTokenizer:
             for b in range(256):
                 vocab[f"<0x{b:02X}>"] = len(vocab)
         for corpus in corpora:
-            for doc in corpus.documents:
-                for w in _WORD_RE.findall(doc):
-                    if w not in vocab:
-                        vocab[w] = len(vocab)
+            # one document's words are live at a time; the dict keeps each word once
+            for w in dict.fromkeys(chain.from_iterable(map(str.split, corpus.documents))):
+                vocab.setdefault(w, len(vocab))
         return cls(vocab=vocab, byte_fallback=byte_fallback)
 
     @property
@@ -87,17 +88,24 @@ class ToyTokenizer:
             h.update(f"{idx}:{tok}\n".encode())
         return h.hexdigest()[:16]
 
-    def tokenize(self, text: str) -> np.ndarray:
-        ids = []
-        for w in _WORD_RE.findall(text):
-            idx = self.vocab.get(w)
+    def ids(self, text: str) -> list:
+        """Token ids of ``text`` as a list: one per vocabulary word, UNK or UTF-8 bytes otherwise."""
+        words = text.split()
+        ids = list(map(self.vocab.get, words))
+        if None not in ids:
+            return ids
+        out = []
+        for w, idx in zip(words, ids):
             if idx is not None:
-                ids.append(idx)
+                out.append(idx)
             elif self.byte_fallback:
-                ids.extend(2 + b for b in w.encode("utf-8"))
+                out.extend(2 + b for b in w.encode("utf-8"))
             else:
-                ids.append(self.UNK)
-        return np.asarray(ids, dtype=np.uint32)
+                out.append(self.UNK)
+        return out
+
+    def tokenize(self, text: str) -> np.ndarray:
+        return np.array(self.ids(text), dtype=np.uint32)
 
     def detokenize(self, ids) -> str:
         inv = self.id_to_token()
@@ -145,11 +153,11 @@ class Chunk:
 
 def build_stream(corpus: Corpus, tokenizer: ToyTokenizer) -> np.ndarray:
     """concat(doc_1, EOS, doc_2, EOS, ...) in document order."""
-    pieces = []
+    ids = array.array("I")
     for doc in corpus.documents:
-        pieces.append(tokenizer.tokenize(doc))
-        pieces.append(np.array([tokenizer.EOS], dtype=np.uint32))
-    return np.concatenate(pieces)
+        ids.extend(tokenizer.ids(doc))
+        ids.append(tokenizer.EOS)
+    return np.frombuffer(ids, dtype=np.uint32)
 
 
 def chunk_stream(
@@ -163,6 +171,7 @@ def chunk_stream(
 ) -> list:
     """Tile non-overlapping seq_len windows from a random start offset.
 
+    The chunks' tokens are the rows of one [n, seq_len] copy of the stream.
     The offset is drawn in [0, seq_len); passing the other epoch's offset as
     ``forbidden_offset`` guarantees the two chunkings share no [start, end)
     span. The trailing remainder is dropped.
@@ -173,12 +182,9 @@ def chunk_stream(
         offset = int(rng.integers(0, seq_len))
         while forbidden_offset is not None and offset == forbidden_offset:
             offset = int(rng.integers(0, seq_len))
-    chunks = []
-    for start in range(offset, len(stream) - seq_len + 1, seq_len):
-        chunks.append(
-            Chunk(tokens=stream[start : start + seq_len].copy(), corpus=corpus_tag, epoch=epoch, start=start)
-        )
-    return chunks
+    starts = range(offset, len(stream) - seq_len + 1, seq_len)
+    rows = stream[offset : offset + len(starts) * seq_len].reshape(len(starts), seq_len).copy()
+    return [Chunk(tokens=row, corpus=corpus_tag, epoch=epoch, start=start) for row, start in zip(rows, starts)]
 
 
 def two_epoch_chunks(stream: np.ndarray, seq_len: int, rng: RngState, corpus_tag: str) -> list:
@@ -233,7 +239,12 @@ _MATH_OPS = [("plus", lambda a, b: a + b), ("minus", lambda a, b: a - b), ("time
 
 
 def synthetic_story_corpus(n_docs: int, seed: int) -> Corpus:
-    """Template children's-story sentences with a story-only surface vocabulary."""
+    """Template children's-story sentences with a story-only surface vocabulary.
+
+    Each document draws its name, its sentence count, then the place, thing
+    and two verbs of every sentence in one call; the stream of draws is that
+    of one scalar draw at a time.
+    """
     rng = np.random.default_rng(seed)
     docs = []
     for _ in range(n_docs):
@@ -241,13 +252,11 @@ def synthetic_story_corpus(n_docs: int, seed: int) -> Corpus:
         sentences = [f"Once upon a time there was a little one named {name} ."]
         # variable document lengths keep chunk phases from locking to the
         # template, which would make offsets trivially predictable
-        for _ in range(int(rng.integers(1, 4))):
-            place = _STORY_PLACES[rng.integers(len(_STORY_PLACES))]
-            thing = _STORY_THINGS[rng.integers(len(_STORY_THINGS))]
-            verb = _STORY_VERBS[rng.integers(len(_STORY_VERBS))]
-            verb2 = _STORY_VERBS[rng.integers(len(_STORY_VERBS))]
-            sentences.append(f"{name} went to the {place} with a {thing} .")
-            sentences.append(f"{name} {verb} and {verb2} all day .")
+        n = int(rng.integers(1, 4))
+        # the place, thing and verb lists are equally long, so one bound serves all four
+        for place, thing, verb, verb2 in rng.integers(len(_STORY_VERBS), size=(n, 4)).tolist():
+            sentences.append(f"{name} went to the {_STORY_PLACES[place]} with a {_STORY_THINGS[thing]} .")
+            sentences.append(f"{name} {_STORY_VERBS[verb]} and {_STORY_VERBS[verb2]} all day .")
         sentences.append("The end .")
         docs.append(" ".join(sentences))
     return Corpus(documents=docs, domain_tag="story")
@@ -301,9 +310,10 @@ class ChunkStore:
         return out
 
     def save(self, path: str) -> None:
-        header = struct.pack(
-            "<4sIIQ", CHUNKSTORE_MAGIC, CHUNKSTORE_VERSION, self.seq_len, len(self.chunks)
-        )
+        """Header, every chunk's tokens as one little-endian uint32 array, then the provenance JSON."""
+        for c in self.chunks:
+            if len(c.tokens) != self.seq_len:
+                raise DataError(f"chunk at {c.start} has {len(c.tokens)} tokens, want {self.seq_len}")
         provenance = {
             "tokenizer": self.tokenizer.to_dict(),
             "tokenizer_fingerprint": self.tokenizer.fingerprint(),
@@ -313,38 +323,42 @@ class ChunkStore:
             ],
         }
         with open(path, "wb") as f:
-            f.write(header)
-            for c in self.chunks:
-                if len(c.tokens) != self.seq_len:
-                    raise DataError(f"chunk at {c.start} has {len(c.tokens)} tokens, want {self.seq_len}")
-                f.write(np.asarray(c.tokens, dtype="<u4").tobytes())
+            f.write(_STORE_HEADER.pack(CHUNKSTORE_MAGIC, CHUNKSTORE_VERSION, self.seq_len, len(self.chunks)))
+            # row by row from the chunks' own arrays: a stacked copy would hold the payload twice
+            f.writelines(np.asarray(c.tokens, dtype="<u4") for c in self.chunks)
             f.write(json.dumps(provenance).encode("utf-8"))
 
     @classmethod
     def load(cls, path: str) -> "ChunkStore":
+        """Read a store written by ``save``; a truncated or malformed file raises DataError."""
         with open(path, "rb") as f:
-            raw = f.read()
-        magic, version, seq_len, count = struct.unpack_from("<4sIIQ", raw, 0)
-        if magic != CHUNKSTORE_MAGIC:
-            raise DataError(f"{path}: not a chunk store (bad magic {magic!r})")
-        if version != CHUNKSTORE_VERSION:
-            raise DataError(f"{path}: unsupported chunk-store version {version}")
-        offset = struct.calcsize("<4sIIQ")
-        payload_bytes = count * seq_len * 4
-        tokens = np.frombuffer(raw, dtype="<u4", count=count * seq_len, offset=offset)
-        provenance = json.loads(raw[offset + payload_bytes :].decode("utf-8"))
-        tokenizer = ToyTokenizer.from_dict(provenance["tokenizer"])
-        chunks = []
-        for i, meta in enumerate(provenance["chunks"]):
-            chunks.append(
-                Chunk(
-                    tokens=tokens[i * seq_len : (i + 1) * seq_len].copy(),
-                    corpus=meta["corpus"],
-                    epoch=meta["epoch"],
-                    start=meta["start"],
-                    sub_collection=meta["sub"],
-                )
-            )
+            size = os.fstat(f.fileno()).st_size
+            header = f.read(_STORE_HEADER.size)
+            if len(header) < _STORE_HEADER.size:
+                raise DataError(f"{path}: truncated chunk store ({size} bytes, header needs {_STORE_HEADER.size})")
+            magic, version, seq_len, count = _STORE_HEADER.unpack(header)
+            if magic != CHUNKSTORE_MAGIC:
+                raise DataError(f"{path}: not a chunk store (bad magic {magic!r})")
+            if version != CHUNKSTORE_VERSION:
+                raise DataError(f"{path}: unsupported chunk-store version {version}")
+            payload = count * seq_len * 4
+            if _STORE_HEADER.size + payload > size:
+                raise DataError(f"{path}: truncated chunk store ({size} bytes, {count} chunks of {seq_len} tokens)")
+            tokens = np.empty((count, seq_len), dtype="<u4")
+            f.readinto(tokens)
+            tail = f.read()
+        try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            provenance = json.loads(tail)
+            tokenizer = ToyTokenizer.from_dict(provenance["tokenizer"])
+            metas = provenance["chunks"]
+            chunks = [
+                Chunk(tokens=row, corpus=m["corpus"], epoch=m["epoch"], start=m["start"], sub_collection=m["sub"])
+                for row, m in zip(tokens, metas)
+            ]
+        except (ValueError, KeyError, TypeError) as e:
+            raise DataError(f"{path}: malformed chunk-store provenance ({type(e).__name__}: {e})") from None
+        if len(metas) != count:
+            raise DataError(f"{path}: the header counts {count} chunks, the provenance {len(metas)}")
         return cls(seq_len=seq_len, chunks=chunks, tokenizer=tokenizer)
 
 

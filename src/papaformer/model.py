@@ -304,6 +304,8 @@ def trunk(
                 x, layer, c.gumbel, rng, training, c.max_seq_len, cache, last_row and i == len(layers) - 1
             )
             records.append(rec)
+    if cache is not None:
+        cache.length = length
     return x, records
 
 

@@ -360,6 +360,27 @@ class TestCachedGenerate:
         truncated = sum("truncated" in str(w.message) for w in caught)
         assert truncated == sum(prompt_len + i > limit for i in range(n))
 
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_model_without_attention_runs_one_token_per_step(self, mode, monkeypatch):
+        # a baseline with no block has nothing to extend the cache, which still counts the positions run
+        import papaformer.analysis as analysis
+
+        m = build(model_config("none", n_parallel=0, n_layer_blocks=0), RngState(6))
+        prompt = np.random.default_rng(1).integers(0, VOCAB, size=5)
+        ran = []
+
+        def counting_forward(model, tokens, **kwargs):
+            ran.append(len(tokens))
+            return forward(model, tokens, **kwargs)
+
+        monkeypatch.setattr(analysis, "forward", counting_forward)
+        result = generate(m, prompt, 6, mode=mode, temperature=1.3, rng=RngState(9))
+        assert ran == [5, 1, 1, 1, 1, 1]
+        want = uncached_generate(m, prompt, 6, mode, 1.3, RngState(9))
+        assert result.new_tokens == [t for t, _ in want]
+        for step, (_, probs) in zip(result.steps, want):
+            np.testing.assert_allclose([p for _, p in step.top_tokens], probs, atol=1e-6)
+
 
 def loaded_generate_probs(path) -> str:
     """Every top-n probability of 6 greedy steps from the checkpoint at ``path``, as text.

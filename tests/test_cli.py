@@ -166,6 +166,15 @@ class TestTrain:
         rc = main(["train", "--config", str(workdir / "path.yaml"), "--data", str(workdir / "no.ppch"), "--out", str(workdir / "x.ppck")])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("keep", [10, 100, -50])
+    def test_truncated_data_exits_data(self, workdir, capsys, keep):
+        store = (workdir / "store.ppch").read_bytes()
+        cut = workdir / "cut.ppch"
+        cut.write_bytes(store[:keep])
+        rc = main(["train", "--config", str(workdir / "path.yaml"), "--data", str(cut), "--out", str(workdir / "x.ppck")])
+        assert rc == EXIT_DATA
+        assert f"error: data: {cut}: " in capsys.readouterr().err
+
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("PAPA_SEED", "99")
         cfg = train_config_from({"train": {"seed": 1}})

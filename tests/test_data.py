@@ -1,5 +1,13 @@
+import hashlib
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from papaformer.data import (
     Chunk,
@@ -16,6 +24,11 @@ from papaformer.data import (
     synthetic_math_corpus,
     synthetic_story_corpus,
     two_epoch_chunks,
+    _MATH_OPS,
+    _STORY_NAMES,
+    _STORY_PLACES,
+    _STORY_THINGS,
+    _STORY_VERBS,
 )
 from papaformer.tensor import RngState
 
@@ -222,3 +235,169 @@ def test_synthetic_corpora_have_distinct_vocabularies():
     overlap = story_words & math_words
     # only connective punctuation/function words may overlap
     assert len(overlap) / len(story_words | math_words) < 0.2
+
+
+# -- the store's bytes ------------------------------------------------------
+
+
+def regex_tokenize(tok: ToyTokenizer, text: str) -> list:
+    """The tokenizer's rule written with an ``\\S+`` regex, one word at a time."""
+    ids = []
+    for w in re.findall(r"\S+", text):
+        idx = tok.vocab.get(w)
+        if idx is not None:
+            ids.append(idx)
+        elif tok.byte_fallback:
+            ids.extend(2 + b for b in w.encode("utf-8"))
+        else:
+            ids.append(tok.UNK)
+    return ids
+
+
+def scalar_story_corpus(n_docs: int, seed: int) -> list:
+    """Story documents drawn one scalar at a time."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for _ in range(n_docs):
+        name = _STORY_NAMES[rng.integers(len(_STORY_NAMES))]
+        sentences = [f"Once upon a time there was a little one named {name} ."]
+        for _ in range(int(rng.integers(1, 4))):
+            place = _STORY_PLACES[rng.integers(len(_STORY_PLACES))]
+            thing = _STORY_THINGS[rng.integers(len(_STORY_THINGS))]
+            verb = _STORY_VERBS[rng.integers(len(_STORY_VERBS))]
+            verb2 = _STORY_VERBS[rng.integers(len(_STORY_VERBS))]
+            sentences.append(f"{name} went to the {place} with a {thing} .")
+            sentences.append(f"{name} {verb} and {verb2} all day .")
+        sentences.append("The end .")
+        docs.append(" ".join(sentences))
+    return docs
+
+
+def scalar_math_corpus(n_docs: int, seed: int) -> list:
+    """Math documents drawn one scalar at a time."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for _ in range(n_docs):
+        problems = []
+        for _ in range(int(rng.integers(1, 3))):
+            a, b = int(rng.integers(0, 10)), int(rng.integers(0, 10))
+            op_name, op = _MATH_OPS[rng.integers(len(_MATH_OPS))]
+            problems.append(
+                f"Solve this problem : what is {a} {op_name} {b} ? "
+                f"Compute the value step by step . The answer is {op(a, b)} ."
+            )
+        docs.append(" ".join(problems))
+    return docs
+
+
+# whitespace that is not ASCII, and characters that look like it but are not
+SPACES = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u00a0\u1680\u2000\u2007\u200a\u2028\u2029\u202f\u205f\u3000"
+NOT_SPACES = "\u200b\u2060\ufeff\x00\u180e"
+TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(SPACES + NOT_SPACES),
+        st.sampled_from(["Lily", "park", "plus", "7", ".", "?", "<eos>", "<0x41>", "é", "日本", "🙂"]),
+        st.characters(codec="utf-8"),  # text read from a UTF-8 file holds no lone surrogate
+    ),
+    max_size=40,
+).map("".join)
+
+# sha256 of `pretokenize --synthetic 300 --seed 5` before the tokenizer split
+# with str.split and the corpora drew a document's sentences in one call
+PINNED_STORE_DIGEST = "b748969e301535d8892eaa65a2bfb2355456cba7f8b16a85f210d331e6a99f51"
+PINNED_STORE_SUMMARY = """\
+  math sub60 epoch1: 21 chunks (5376 tokens)
+  math sub60 epoch2: 27 chunks (6912 tokens)
+  math sub40 epoch1: 19 chunks (4864 tokens)
+  math sub40 epoch2: 13 chunks (3328 tokens)
+  story sub60 epoch1: 34 chunks (8704 tokens)
+  story sub60 epoch2: 33 chunks (8448 tokens)
+  story sub40 epoch1: 22 chunks (5632 tokens)
+  story sub40 epoch2: 23 chunks (5888 tokens)
+"""
+PINNED_NUMPY = "2.4.6"
+
+
+class TestStoreBytes:
+    def test_str_split_finds_the_regex_words_at_every_code_point(self):
+        text = "".join(map(chr, range(0x110000)))
+        assert text.split() == re.findall(r"\S+", text)
+
+    @given(TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_tokenize_matches_regex_reference(self, text):
+        corpus = Corpus(documents=["Lily went to the park .", "what is 7 plus 2 ?"], domain_tag="story")
+        for byte_fallback in (False, True):
+            tok = ToyTokenizer.build([corpus], byte_fallback=byte_fallback)
+            assert tok.tokenize(text).tolist() == regex_tokenize(tok, text)
+            assert tok.tokenize(text).dtype == np.uint32
+
+    def test_unknown_words_and_unicode_whitespace(self, tok):
+        text = "Lily\u00a0went\u2028to\x1cthe zebra\u200bpark"
+        assert tok.tokenize(text).tolist() == regex_tokenize(tok, text)
+        assert tok.tokenize(text).tolist().count(ToyTokenizer.UNK) == 1  # "zebra\u200bpark" is one unknown word
+
+    def test_build_keeps_first_seen_order_across_corpora(self):
+        a = Corpus(documents=["b a b", "c\u00a0a"], domain_tag="story")
+        b = Corpus(documents=["d <eos> a e"], domain_tag="math")
+        assert list(ToyTokenizer.build([a, b]).vocab) == ["<eos>", "<unk>", "b", "a", "c", "d", "e"]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_corpora_match_scalar_draws(self, seed):
+        assert synthetic_story_corpus(60, seed).documents == scalar_story_corpus(60, seed)
+        assert synthetic_math_corpus(60, seed).documents == scalar_math_corpus(60, seed)
+
+    def test_stream_matches_per_document_tokenize(self, corpora):
+        for byte_fallback in (False, True):
+            tok = ToyTokenizer.build(corpora[:1], byte_fallback=byte_fallback)  # math words are unknown
+            for c in corpora:
+                want = [i for d in c.documents for i in regex_tokenize(tok, d) + [tok.EOS]]
+                stream = build_stream(c, tok)
+                assert stream.dtype == np.uint32 and stream.tolist() == want
+
+    def test_pretokenize_matches_pinned_digest(self, tmp_path):
+        if np.__version__ != PINNED_NUMPY:
+            pytest.skip(f"digest pinned with NumPy {PINNED_NUMPY}, this is {np.__version__}")
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "papaformer", "pretokenize", "--synthetic", "300", "--seed", "5", "--out", "s.ppch"],
+            cwd=tmp_path, env={"PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout == "wrote s.ppch: vocab=106 seq_len=256\n" + PINNED_STORE_SUMMARY
+        assert hashlib.sha256((tmp_path / "s.ppch").read_bytes()).hexdigest() == PINNED_STORE_DIGEST
+
+
+class TestCorruptStore:
+    @pytest.fixture
+    def saved(self, corpora, tmp_path):
+        path = tmp_path / "good.ppch"
+        build_chunk_store(corpora, seq_len=32, seed=42).save(str(path))
+        return path.read_bytes()
+
+    def test_every_sampled_prefix_raises_data_error(self, saved, tmp_path):
+        cut = tmp_path / "cut.ppch"
+        header = 20
+        payload_end = saved.index(b'{"tokenizer"')
+        sizes = {0, 1, 10, header - 1, header, header + 1, payload_end - 1, payload_end, payload_end + 1, len(saved) - 1}
+        sizes |= set(np.random.default_rng(0).integers(0, len(saved), size=40).tolist())
+        for n in sorted(sizes):
+            cut.write_bytes(saved[:n])
+            with pytest.raises(DataError, match="cut.ppch"):
+                ChunkStore.load(str(cut))
+
+    def test_chunk_count_disagreeing_with_provenance(self, saved, tmp_path):
+        bad = tmp_path / "bad.ppch"
+        count = int.from_bytes(saved[12:20], "little")
+        bad.write_bytes(saved[:12] + (count - 1).to_bytes(8, "little") + saved[20 : 20 + (count - 1) * 32 * 4])
+        with pytest.raises(DataError, match="provenance"):
+            ChunkStore.load(str(bad))  # the JSON now starts inside the last chunk's tokens
+        tail = saved[20 + count * 32 * 4 :]
+        bad.write_bytes(saved[:12] + (count - 1).to_bytes(8, "little") + saved[20 : 20 + (count - 1) * 32 * 4] + tail)
+        with pytest.raises(DataError, match=f"header counts {count - 1} chunks, the provenance {count}"):
+            ChunkStore.load(str(bad))
+
+    def test_loaded_chunks_are_rows_of_one_writable_array(self, saved, tmp_path):
+        path = tmp_path / "good.ppch"
+        chunks = ChunkStore.load(str(path)).chunks
+        assert all(c.tokens.flags.writeable and c.tokens.dtype == np.uint32 for c in chunks)
+        assert chunks[0].tokens.base is chunks[-1].tokens.base is not None
