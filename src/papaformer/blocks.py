@@ -123,36 +123,26 @@ def rmsnorm(x: Tensor, scale: Tensor, eps: float = RMSNORM_EPS) -> Tensor:
     return Tensor(x_hat * scale.data, _parents=(x, scale), _backward=bwd)
 
 
-def _rotation(positions: np.ndarray, head_dim: int) -> tuple:
-    """cos/sin of pos * theta_j, computed in float64, as float32 [T, 1, hd/2, 1] arrays."""
-    j = np.arange(head_dim // 2, dtype=np.float64)
-    theta = ROPE_BASE ** (-2.0 * j / head_dim)
-    angles = np.asarray(positions, dtype=np.float64)[:, None] * theta[None, :]
-    return np.cos(angles).astype(np.float32)[:, None, :, None], np.sin(angles).astype(np.float32)[:, None, :, None]
-
-
-_ROPE_TABLES = {}  # head_dim -> _rotation(0..n-1, head_dim)
+_ROPE_TABLES = {}  # head_dim -> float32 cos/sin of pos * theta_j for pos in 0..n-1
 
 
 def rope_tables(positions: np.ndarray, head_dim: int) -> tuple:
-    """cos/sin rotation tables for the given positions, shaped [T, 1, hd/2, 1].
+    """cos/sin rotation tables for the given integer positions, shaped [T, 1, hd/2, 1].
 
-    Integer positions, the only kind the model passes, take their rows from
-    one table per head_dim, which grows to cover the largest position asked
-    for; since each entry is the elementwise pos * theta_j, a row does not
-    depend on the table's length. Fractional positions, which serve tests of
-    the rotation itself, are rotated as given and never enter the table.
+    The rows come from one table per head_dim, computed in float64, which
+    grows to cover the largest position asked for; since each entry is the
+    elementwise pos * theta_j, a row does not depend on the table's length.
     """
     if head_dim % 2 != 0:
         raise ConfigError(f"head_dim {head_dim} must be even for rotary embeddings")
     positions = np.asarray(positions)
-    if positions.dtype.kind not in "iu":
-        return _rotation(positions, head_dim)
     need = int(positions.max(initial=-1)) + 1
     table = _ROPE_TABLES.get(head_dim)
     if table is None or need > len(table[0]):
         size = max(need, 0 if table is None else 2 * len(table[0]))
-        table = _ROPE_TABLES[head_dim] = _rotation(np.arange(size), head_dim)
+        theta = ROPE_BASE ** (-2.0 * np.arange(head_dim // 2, dtype=np.float64) / head_dim)
+        angles = np.arange(size, dtype=np.float64)[:, None] * theta[None, :]
+        table = _ROPE_TABLES[head_dim] = tuple(f(angles).astype(np.float32)[:, None, :, None] for f in (np.cos, np.sin))
     cos, sin = table
     return cos[positions], sin[positions]
 

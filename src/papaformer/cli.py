@@ -182,7 +182,7 @@ def cmd_compose(args) -> int:
     target = model_config_from(raw, vocab_size=vocab)
     plan = CompositionPlan(path_checkpoints=list(args.paths), target_config=target)
     model = compose(plan, RngState(env_seed(args.seed)))
-    provenance = composition_provenance(target)
+    provenance = composition_provenance(model)
     save_checkpoint(args.out, model, provenance=provenance)
     with open(args.out + ".provenance.json", "w", encoding="utf-8") as f:
         json.dump(provenance, f, indent=2, sort_keys=True)

@@ -39,9 +39,9 @@ def provenance_tag(name: str) -> str:
     return "fresh"
 
 
-def composition_provenance(config: ModelConfig) -> dict:
-    """Provenance tag per target parameter name for a freshly composed model."""
-    return {name: provenance_tag(name) for name in build(config, None).named_params()}
+def composition_provenance(model: PaPaformerModel) -> dict:
+    """Provenance tag per parameter name of a composed model."""
+    return {name: provenance_tag(name) for name in model.named_params()}
 
 
 def weight_source(name: str, tag: str) -> str:

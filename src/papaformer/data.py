@@ -19,6 +19,7 @@ from itertools import chain
 
 import numpy as np
 
+from papaformer.blocks import ConfigError
 from papaformer.tensor import RngState
 
 SEQ_LEN_DEFAULT = 256
@@ -369,6 +370,8 @@ def build_chunk_store(
     byte_fallback: bool = False,
 ) -> ChunkStore:
     """Full preprocessing pipeline: tokenize, chunk twice, split 60/40 per corpus."""
+    if seq_len < 2:  # the two epochs' chunkings need distinct start offsets in [0, seq_len)
+        raise ConfigError(f"seq_len: must be >= 2, got {seq_len}")
     tokenizer = ToyTokenizer.build(corpora, byte_fallback=byte_fallback)
     rng = RngState(seed)
     all_chunks = []

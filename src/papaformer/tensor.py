@@ -146,10 +146,11 @@ class Tensor:
     def backward(self, sink: dict | None = None) -> None:
         """Accumulate d(self)/d(leaf) into every requires_grad leaf.
 
-        ``self`` must be a scalar. Repeated calls on fresh graphs without
-        ``zero_grad`` accumulate, matching gradient-accumulation training.
-        With a ``sink`` dict, each leaf's gradient is accumulated into
-        ``sink[leaf]`` instead and ``leaf.grad`` is not touched, so backward
+        ``self`` must be a scalar. The walk adds each leaf's gradient into
+        ``sink[leaf]``. Without a ``sink`` it walks into a fresh one and then
+        adds that into ``.grad`` with ``add_grads``, so repeated calls on fresh
+        graphs without ``zero_grad`` accumulate, matching gradient-accumulation
+        training. With a ``sink``, ``leaf.grad`` is not touched, so backward
         walks on other threads over graphs that share leaves write nothing
         shared.
         Each node's closure and parent links are dropped as soon as it has run,
@@ -175,6 +176,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
+        walk = {} if sink is None else sink
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         while topo:
             node = topo.pop()
@@ -182,19 +184,16 @@ class Tensor:
             if g is None:
                 continue
             if node.requires_grad:
-                if sink is not None:
-                    held = sink.get(node)
-                    sink[node] = g.copy() if held is None else held + g
-                elif node.grad is None:
-                    node.grad = g.copy()
-                else:
-                    node.grad = node.grad + g
+                held = walk.get(node)
+                walk[node] = g.copy() if held is None else held + g
             if node._backward is not None:
                 for parent, pg in node._backward(g):
                     if parent.requires_grad or parent._backward is not None:
                         acc = grads.get(id(parent))
                         grads[id(parent)] = pg if acc is None else acc + pg
                 node._backward, node._parents = _walked, ()
+        if sink is None:
+            add_grads(walk)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -257,32 +256,23 @@ class Tensor:
         return Tensor(a.data / b.data, _parents=(a, b), _backward=bwd)
 
     def matmul(self, other: "Tensor") -> "Tensor":
-        """Matrix product; supports batched operands with matching batch dims.
+        """[..., d] @ [d, e]: one flat GEMM over the rows of ``self``, forward and backward.
 
-        An [..., d] activation times a [d, e] weight runs as one flat GEMM over
-        the rows, forward and for the weight gradient.
+        The right operand must be a 2-D [d, e] matrix whose d matches the last
+        axis of ``self``; any other raises ShapeError.
         """
         other = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self, other
-        if a.ndim < 1 or b.ndim < 1 or a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-            raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-        if a.ndim > 2 and b.ndim == 2:
-            a2 = a.data.reshape(-1, a.shape[-1])
-
-            def flat_bwd(g):
-                g2 = g.reshape(-1, b.shape[1])
-                return ((a, (g2 @ b.data.T).reshape(a.shape)), (b, a2.T @ g2))
-
-            out = (a2 @ b.data).reshape(*a.shape[:-1], b.shape[1])
-            return Tensor(out, _parents=(a, b), _backward=flat_bwd)
-        out_data = a.data @ b.data
+        if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+            raise ShapeError(f"matmul needs [..., d] @ [d, e], got {a.shape} @ {b.shape}")
+        a2 = a.data.reshape(-1, a.shape[-1])
 
         def bwd(g):
-            ga = g @ np.swapaxes(b.data, -1, -2) if b.ndim > 1 else np.outer(g, b.data).reshape(a.shape)
-            gb = np.swapaxes(a.data, -1, -2) @ g if a.ndim > 1 else np.outer(a.data, g).reshape(b.shape)
-            return ((a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape)))
+            g2 = g.reshape(-1, b.shape[1])
+            return ((a, (g2 @ b.data.T).reshape(a.shape)), (b, a2.T @ g2))
 
-        return Tensor(out_data, _parents=(a, b), _backward=bwd)
+        out = (a2 @ b.data).reshape(*a.shape[:-1], b.shape[1])
+        return Tensor(out, _parents=(a, b), _backward=bwd)
 
     __matmul__ = matmul
 
@@ -405,6 +395,12 @@ class Tensor:
             return ((a, full),)
 
         return Tensor(a.data[key], _parents=(a,), _backward=bwd)
+
+
+def add_grads(sink: dict) -> None:
+    """Add each leaf's gradient in ``sink`` into its ``.grad``, in the sink's order."""
+    for leaf, g in sink.items():
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def _walked(g):

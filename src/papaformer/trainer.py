@@ -26,7 +26,7 @@ from papaformer.data import COMPOSITE_SUB, PATH_CORPORA, PATH_SUB, ChunkStore, m
 from papaformer.losses import cross_entropy, total_loss
 from papaformer.model import ModelConfig, PaPaformerModel, _claim_cpus, _usable_cpus, build, forward
 from papaformer.parallel import GumbelParams
-from papaformer.tensor import NonFiniteError, RngState
+from papaformer.tensor import NonFiniteError, RngState, add_grads
 
 
 @dataclass
@@ -59,6 +59,10 @@ class TrainConfig:
             raise ConfigError("lambda_entropy/lambda_load: loss weights must be >= 0")
         if self.sign_entropy not in (1, -1) or self.sign_load not in (1, -1):
             raise ConfigError("sign_entropy/sign_load: must be +1 or -1")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigError("max_steps: must be >= 1, or null for no cap")
+        if self.warmup_steps < 0:
+            raise ConfigError("warmup_steps: must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -186,10 +190,6 @@ def _plan_epoch(chunks: list, epoch: int, cfg: TrainConfig, data_rng: RngState) 
     return make_batches([pool], cfg.batch_size, data_rng)
 
 
-def _steps_in_epoch(n_batches: int, cfg: TrainConfig) -> int:
-    return n_batches // cfg.grad_accum_steps
-
-
 def _micro_step(model: PaPaformerModel, batch: list, rng: RngState, cfg: TrainConfig, step: int) -> tuple:
     """One micro-batch: forward, loss, and the backward of loss/accum into a fresh sink.
 
@@ -218,9 +218,16 @@ def train(
 ) -> TrainReport:
     """Train ``model`` on the given chunks; deterministic under cfg.seed.
 
+    Every epoch's batches are planned up front from the data rng and cut into
+    optimizer steps of ``grad_accum_steps`` micro-batches each; the steps of
+    all epochs form one list, cut to ``max_steps``, whose length is the lr
+    schedule's horizon. An epoch checkpoint is written after the last step of
+    each epoch in the list.
+
     Resuming: pass the ``TrainState`` reconstructed from an epoch-boundary
-    checkpoint; planning replays the same seeded batch order, so resumed
-    training is bit-identical to an uninterrupted run.
+    checkpoint; planning replays the same seeded batch order and the run
+    starts at the state's ``global_step``, so resumed training is bit-identical
+    to an uninterrupted run.
 
     A step's micro-batches run in waves of up to one per usable CPU, each on
     its own thread and tape. Micro-batch j draws its Gumbel noise from the
@@ -237,92 +244,78 @@ def train(
     params = model.named_params()
     report = TrainReport()
 
-    # the full batch plan is derived up front from the data rng so both the
-    # lr schedule horizon and provenance accounting are known exactly
-    plan_rng = state.data_rng
-    epoch_plans = []
+    accum = cfg.grad_accum_steps
+    steps = []  # (epoch, micro-batches) per optimizer step
     for epoch in range(1, cfg.epochs + 1):
-        epoch_plans.append(_plan_epoch(chunks, epoch, cfg, plan_rng))
-    total_steps = sum(_steps_in_epoch(len(p), cfg) for p in epoch_plans)
-    if cfg.max_steps is not None:
-        total_steps = min(total_steps, cfg.max_steps)
-    if total_steps == 0:
+        plan = _plan_epoch(chunks, epoch, cfg, state.data_rng)
+        report.planned.extend((c.corpus, c.sub_collection, c.epoch, c.start) for batch in plan for c in batch)
+        steps.extend((epoch, plan[i : i + accum]) for i in range(0, len(plan) - accum + 1, accum))
+    steps = steps[: cfg.max_steps]
+    if not steps:
         raise ConfigError("not enough batches for a single optimizer step")
-    for plan in epoch_plans:
-        for batch in plan:
-            report.planned.extend((c.corpus, c.sub_collection, c.epoch, c.start) for c in batch)
 
     # a training forward draws once per Gumbel layer and nowhere else
     draws = sum(isinstance(layer.connection, GumbelParams) for layer in model.parallel_layers)
-    workers = min(cfg.grad_accum_steps, _usable_cpus()) if _claim_cpus() else 1
+    workers = min(accum, _usable_cpus()) if _claim_cpus() else 1
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
-        for epoch_idx, plan in enumerate(epoch_plans, start=1):
-            if epoch_idx <= state.epochs_done:
-                continue
-            n_steps = _steps_in_epoch(len(plan), cfg)
-            for s in range(n_steps):
-                if state.global_step >= total_steps:
-                    break
-                lr_t = cosine_lr(state.global_step, total_steps, cfg.lr, cfg.warmup_steps)
-                t0 = time.perf_counter()
-                micro = plan[s * cfg.grad_accum_steps : (s + 1) * cfg.grad_accum_steps]
-                acc = {"ce": 0.0, "entropy": 0.0, "load": 0.0, "total": 0.0}
-                n_tokens = 0
-                for w in range(0, len(micro), workers):
-                    wave = micro[w : w + workers]
-                    start = state.model_rng.position
-                    rngs = [RngState(state.model_rng.seed, start + j * draws) for j in range(len(wave))]
-                    results = list(
-                        run(lambda batch, rng: _micro_step(model, batch, rng, cfg, state.global_step), wave, rngs)
-                    )
-                    for j, rng in enumerate(rngs):
-                        if rng.position != start + (j + 1) * draws:
-                            raise RuntimeError(
-                                f"a training forward drew {rng.position - start - j * draws} times, not {draws}: "
-                                "micro-batches would not draw the serial loop's noise"
-                            )
-                    state.model_rng.position = start + len(wave) * draws
-                    for batch, (scalars, sink, tokens) in zip(wave, results):
-                        for leaf, g in sink.items():
-                            leaf.grad = g if leaf.grad is None else leaf.grad + g
-                        for k in acc:
-                            acc[k] += scalars[k] / cfg.grad_accum_steps
-                        n_tokens += tokens
-                        report.consumed.extend((c.corpus, c.sub_collection, c.epoch, c.start) for c in batch)
-                if cfg.grad_clip > 0:
-                    clip_gradients(params, cfg.grad_clip)
-                adamw_step(params, state.opt, lr_t, cfg)
-                model.zero_grad()
-                state.global_step += 1
-                dt = time.perf_counter() - t0
-                entry = {"step": state.global_step, "lr": lr_t, **acc, "tokens_per_sec": n_tokens / dt}
-                report.steps.append(entry)
-                if log_file is not None:
-                    log_file.write(
-                        "step={step} lr={lr:.6g} ce={ce:.6f} entropy={entropy:.6f} "
-                        "load={load:.6f} total={total:.6f} tokens_per_sec={tokens_per_sec:.0f}\n".format(**entry)
-                    )
-            state.epochs_done = epoch_idx
-            if checkpoint_path is not None:
-                ckpt_path = checkpoint_path.format(epoch=epoch_idx)
-                save_checkpoint(
-                    ckpt_path,
-                    model,
-                    provenance={n: "trained" for n in params},
-                    train_config=cfg.to_dict(),
-                    rng=state.model_rng,
-                    opt_tensors=state.opt.tensors(),
-                    extra={
-                        "opt_step": state.opt.step,
-                        "global_step": state.global_step,
-                        "epochs_done": state.epochs_done,
-                        "data_rng": {"seed": state.data_rng.seed, "position": state.data_rng.position},
-                    },
+        for epoch, micro in steps[state.global_step :]:
+            lr_t = cosine_lr(state.global_step, len(steps), cfg.lr, cfg.warmup_steps)
+            t0 = time.perf_counter()
+            acc = {"ce": 0.0, "entropy": 0.0, "load": 0.0, "total": 0.0}
+            n_tokens = 0
+            for w in range(0, len(micro), workers):
+                wave = micro[w : w + workers]
+                start = state.model_rng.position
+                rngs = [RngState(state.model_rng.seed, start + j * draws) for j in range(len(wave))]
+                results = list(
+                    run(lambda batch, rng: _micro_step(model, batch, rng, cfg, state.global_step), wave, rngs)
                 )
-                report.checkpoints.append(ckpt_path)
-            if state.global_step >= total_steps:
-                break
+                for j, rng in enumerate(rngs):
+                    if rng.position != start + (j + 1) * draws:
+                        raise RuntimeError(
+                            f"a training forward drew {rng.position - start - j * draws} times, not {draws}: "
+                            "micro-batches would not draw the serial loop's noise"
+                        )
+                state.model_rng.position = start + len(wave) * draws
+                for batch, (scalars, sink, tokens) in zip(wave, results):
+                    add_grads(sink)
+                    for k in acc:
+                        acc[k] += scalars[k] / accum
+                    n_tokens += tokens
+                    report.consumed.extend((c.corpus, c.sub_collection, c.epoch, c.start) for c in batch)
+            if cfg.grad_clip > 0:
+                clip_gradients(params, cfg.grad_clip)
+            adamw_step(params, state.opt, lr_t, cfg)
+            model.zero_grad()
+            state.global_step += 1
+            dt = time.perf_counter() - t0
+            entry = {"step": state.global_step, "lr": lr_t, **acc, "tokens_per_sec": n_tokens / dt}
+            report.steps.append(entry)
+            if log_file is not None:
+                log_file.write(
+                    "step={step} lr={lr:.6g} ce={ce:.6f} entropy={entropy:.6f} "
+                    "load={load:.6f} total={total:.6f} tokens_per_sec={tokens_per_sec:.0f}\n".format(**entry)
+                )
+            if state.global_step == len(steps) or steps[state.global_step][0] != epoch:
+                state.epochs_done = epoch
+                if checkpoint_path is not None:
+                    ckpt_path = checkpoint_path.format(epoch=epoch)
+                    save_checkpoint(
+                        ckpt_path,
+                        model,
+                        provenance={n: "trained" for n in params},
+                        train_config=cfg.to_dict(),
+                        rng=state.model_rng,
+                        opt_tensors=state.opt.tensors(),
+                        extra={
+                            "opt_step": state.opt.step,
+                            "global_step": state.global_step,
+                            "epochs_done": state.epochs_done,
+                            "data_rng": {"seed": state.data_rng.seed, "position": state.data_rng.position},
+                        },
+                    )
+                    report.checkpoints.append(ckpt_path)
     return report
 
 
@@ -357,8 +350,6 @@ def run_phase2(
     so path models are trained per distinct depth. Returns (checkpoint paths,
     train reports) keyed by run name.
     """
-    import os
-
     from papaformer.composer import CompositionPlan, compose, composition_provenance
 
     os.makedirs(out_dir, exist_ok=True)
@@ -380,7 +371,7 @@ def run_phase2(
         plan = CompositionPlan(path_checkpoints=path_ckpts[target.n_parallel_layers], target_config=target)
         composite = compose(plan, RngState(build_seed + 1))
         composed_path = os.path.join(out_dir, f"{run_name}_composed.ppck")
-        save_checkpoint(composed_path, composite, provenance=composition_provenance(target))
+        save_checkpoint(composed_path, composite, provenance=composition_provenance(composite))
         artifacts[f"{run_name}_composed"] = composed_path
         ckpt_path = os.path.join(out_dir, f"{run_name}.ppck")
         report = train(composite, sub40, cfg, checkpoint_path=ckpt_path)

@@ -73,11 +73,11 @@ class TestRope:
         out = rope(Tensor(x0), np.array([0])).data
         np.testing.assert_allclose(out, x0, atol=1e-6)
 
-    def test_quarter_rotation(self):
-        # head_dim=2 has a single pair with theta_0 = 1; position pi/2 rotates (1,0)->(0,1)
+    def test_position_one_rotates_by_theta(self):
+        # head_dim=2 has a single pair with theta_0 = 1; position 1 rotates (1,0)->(cos 1, sin 1)
         x = Tensor(np.array([[[[1.0, 0.0]]]]))
-        out = rope(x, np.array([np.pi / 2])).data
-        np.testing.assert_allclose(out, [[[[0.0, 1.0]]]], atol=1e-6)
+        out = rope(x, np.array([1])).data
+        np.testing.assert_allclose(out, [[[[np.cos(1.0), np.sin(1.0)]]]], atol=1e-6)
 
     def test_preserves_pair_norms(self):
         rng = np.random.default_rng(2)

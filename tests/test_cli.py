@@ -83,6 +83,13 @@ class TestPretokenize:
             assert main(["pretokenize", "--synthetic", "25", "--seq-len", "16", "--seed", "3", "--out", str(p)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("seq_len", ["1", "0", "-3"])
+    def test_seq_len_below_two_exits_config(self, workdir, capsys, seq_len):
+        out = workdir / "bad_seq_len.ppch"
+        assert main(["pretokenize", "--synthetic", "10", "--seq-len", seq_len, "--out", str(out)]) == EXIT_CONFIG
+        assert "seq_len" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_token_counts_match_chunk_math(self, workdir, capsys):
         main(["pretokenize", "--synthetic", "30", "--seq-len", "16", "--out", str(workdir / "s3.ppch")])
         out = capsys.readouterr().out
@@ -130,7 +137,10 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "config's 10" in err and f"data's {store_vocab}" in err
 
-    @pytest.mark.parametrize("entry", ["sign_entropy: 2", "lambda_load: -1", "grad_clip: abc"])
+    @pytest.mark.parametrize(
+        "entry", ["sign_entropy: 2", "lambda_load: -1", "grad_clip: abc", "max_steps: 0", "max_steps: -1",
+                  "warmup_steps: -1"],
+    )
     def test_bad_train_value_exits_config(self, workdir, capsys, entry):
         bad = workdir / "bad_train.yaml"
         bad.write_text(TINY_PATH + f"  {entry}\n")

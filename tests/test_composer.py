@@ -190,14 +190,14 @@ class TestCompose:
             compose(CompositionPlan(path_ckpts[:1], target_config()), RngState(0))
 
     def test_provenance_tags(self, plan):
-        tags = composition_provenance(plan.target_config)
+        model = compose(plan, RngState(0))
+        tags = composition_provenance(model)
         assert tags["embed"] == "concatenated"
         assert tags["lm_head"] == "concatenated"
         assert tags["parallel0.path1.wq"] == "reused"
         assert tags["parallel0.conn.w_combine"] == "fresh"
         assert tags["down_proj"] == "fresh"
         # round-trips through the checkpoint format
-        model = compose(plan, RngState(0))
         import tempfile
 
         with tempfile.TemporaryDirectory() as d:
@@ -206,7 +206,7 @@ class TestCompose:
             assert load_checkpoint(p).provenance == tags
 
     def test_provenance_covers_every_target_parameter(self, plan):
-        tags = composition_provenance(plan.target_config)
+        tags = composition_provenance(compose(plan, RngState(0)))
         assert list(tags) == list(build(plan.target_config, None).named_params())
         assert all(isinstance(weight_source(name, tag), str) for name, tag in tags.items())
         assert weight_source("parallel1.path0.w_up", tags["parallel1.path0.w_up"]) == "path 1 block_before1.w_up"
@@ -233,8 +233,9 @@ class TestDrawsOnlyFreshWeights:
 
         plan = kind_plan(path_ckpts, kind)
         monkeypatch.setattr(RngState, "normal", counted)
-        params = compose(plan, RngState(0)).named_params()
-        fresh = [n for n, tag in composition_provenance(plan.target_config).items() if tag == "fresh"]
+        model = compose(plan, RngState(0))
+        params = model.named_params()
+        fresh = [n for n, tag in composition_provenance(model).items() if tag == "fresh"]
         assert sum(drawn) == sum(params[n].size for n in fresh if params[n].data.ndim == 2)
 
     @pytest.mark.parametrize("kind", PARALLEL_KINDS)

@@ -41,12 +41,22 @@ class TestMatmul:
         check_grad(lambda b: (Tensor(a0) @ b).sum(), b0)
 
     def test_batched(self):
+        # a batched right operand is refused: the right operand is always a [d, e] matrix
         rng = np.random.default_rng(2)
-        a0 = rand(rng, 2, 3, 4)
-        b0 = rand(rng, 2, 4, 5)
-        out = Tensor(a0) @ Tensor(b0)
-        np.testing.assert_allclose(out.data, a0 @ b0, rtol=1e-6)
-        check_grad(lambda a: (a @ Tensor(b0)).sum(), a0)
+        with pytest.raises(T.ShapeError, match=r"\[d, e\]"):
+            Tensor(rand(rng, 2, 3, 4)) @ Tensor(rand(rng, 2, 4, 5))
+
+    def test_vector_right_operand_rejected(self):
+        with pytest.raises(T.ShapeError):
+            Tensor(np.ones((3, 4))) @ Tensor(np.ones(4))
+
+    def test_vector_left_operand_is_one_row(self):
+        rng = np.random.default_rng(6)
+        w0 = rand(rng, 4, 3)
+        out = Tensor(np.ones(4)) @ Tensor(w0)
+        assert out.shape == (3,)
+        np.testing.assert_allclose(out.data, w0.sum(axis=0), rtol=1e-6)
+        check_grad(lambda a: (a @ Tensor(w0)).sum(), rand(rng, 4))
 
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 3, 2, 4)], ids=["BTd", "BThd"])
@@ -147,6 +157,14 @@ class TestBackward:
             (x * w).sum().backward()
         np.testing.assert_allclose(x.grad, [6, 8])
         np.testing.assert_allclose(w.grad, [2, 4])
+
+    def test_add_grads_sums_into_grad_in_sink_order(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        (x * x).sum().backward()
+        sink = {}
+        (x * 3.0).sum().backward(sink)
+        T.add_grads(sink)
+        np.testing.assert_allclose(x.grad, [5, 7])
 
     def test_sink_takes_the_gradients_and_leaves_grad_alone(self):
         rng = np.random.default_rng(9)

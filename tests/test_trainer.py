@@ -170,7 +170,8 @@ class TestAdamW:
             TrainConfig(beta2=1.0)
         with pytest.raises(ConfigError):
             TrainConfig.from_dict({"lr": 1e-3, "nope": 1})
-        for bad in ({"sign_entropy": 2}, {"sign_load": 0}, {"lambda_entropy": -0.1}, {"lambda_load": -1}):
+        for bad in ({"sign_entropy": 2}, {"sign_load": 0}, {"lambda_entropy": -0.1}, {"lambda_load": -1},
+                    {"max_steps": 0}, {"max_steps": -1}, {"warmup_steps": -1}):
             with pytest.raises(ConfigError, match=next(iter(bad))):
                 TrainConfig(**bad)
 
@@ -307,6 +308,35 @@ class TestResume:
         assert [s["total"] for s in full.steps[-n_ep2:]] == resumed.losses
         for name, p in model_a.named_params().items():
             assert np.array_equal(p.data, ckpt.model.named_params()[name].data), name
+
+    def test_max_steps_cutting_epoch_two_checkpoints_both_epochs(self, store, tmp_path):
+        # 8 chunks per epoch at batch 2 and accum 2 make 2 steps per epoch; 3 steps cut epoch 2
+        cfg = tiny_cfg(max_steps=3)
+        chunks = subset(store, 8)
+        model = build(small_model_config(store.tokenizer.vocab_size), RngState(0))
+        full = train(model, chunks, cfg, checkpoint_path=str(tmp_path / "ep{epoch}.ppck"))
+        assert full.checkpoints == [str(tmp_path / "ep1.ppck"), str(tmp_path / "ep2.ppck")]
+        assert len(full.steps) == 3
+        first, last = (load_checkpoint(p) for p in full.checkpoints)
+        assert (first.extra["global_step"], first.extra["epochs_done"]) == (2, 1)
+        assert (last.extra["global_step"], last.extra["epochs_done"]) == (3, 2)
+
+        resumed = train(first.model, chunks, cfg, state=state_from_checkpoint(first),
+                        checkpoint_path=str(tmp_path / "resumed{epoch}.ppck"))
+        assert resumed.checkpoints == [str(tmp_path / "resumed2.ppck")]
+        assert resumed.losses == full.losses[2:]
+        assert (tmp_path / "resumed2.ppck").read_bytes() == (tmp_path / "ep2.ppck").read_bytes()
+
+    def test_epoch_without_a_step_writes_no_checkpoint(self, store, tmp_path):
+        # epoch 1 holds one batch, fewer than grad_accum_steps: its steps list is empty
+        story = [c for c in store.chunks if c.corpus == "story"]
+        chunks = [c for c in story if c.epoch == 1][:2] + [c for c in story if c.epoch == 2][:8]
+        model = build(small_model_config(store.tokenizer.vocab_size), RngState(0))
+        report = train(model, chunks, tiny_cfg(), checkpoint_path=str(tmp_path / "ep{epoch}.ppck"))
+        assert len(report.steps) == 2
+        assert {c[2] for c in report.consumed} == {2}
+        assert report.checkpoints == [str(tmp_path / "ep2.ppck")]
+        assert not (tmp_path / "ep1.ppck").exists()
 
     def test_final_checkpoint_matches_model(self, store, tmp_path):
         cfg = tiny_cfg()
