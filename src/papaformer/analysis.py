@@ -18,7 +18,7 @@ the keys and values, the last attention layer runs that position alone.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,25 +43,18 @@ def _prompt_array(prompt_tokens) -> np.ndarray:
     return tokens
 
 
-def _selection_label(index: int, k: int) -> str:
-    return COMBINED if index == k else f"path_{index + 1}"
-
-
 @dataclass
 class RoutingTrace:
-    prompt_tokens: np.ndarray
     selections: list  # per parallel layer: path index in [0, k) or k for combined
-    pis: list  # per parallel layer: the full routing distribution at the probe
-    position: int
+    pis: list  # per parallel layer: the full routing distribution at the last prompt position
     k: int
 
     def labels(self) -> list:
-        return [_selection_label(s, self.k) for s in self.selections]
+        return [COMBINED if s == self.k else f"path_{s + 1}" for s in self.selections]
 
 
 @dataclass
 class DominanceTrace:
-    prompt_tokens: np.ndarray
     dominant: list  # per parallel layer: path index in [0, k)
     cosines: list  # per parallel layer: mean per-token cosine per path
 
@@ -80,32 +73,21 @@ class UtilizationReport:
         return self.path_shares + [self.combined_share]
 
 
-def trace_routing(model: PaPaformerModel, prompt_tokens: np.ndarray, position: int | None = None) -> RoutingTrace:
-    """Argmax routing per parallel layer at the probed prompt position (default: the last).
+def trace_routing(model: PaPaformerModel, prompt_tokens: np.ndarray) -> RoutingTrace:
+    """Argmax routing per parallel layer at the last prompt position.
 
-    Routing is causal, so the trunk runs the prompt only up to the probe, and
-    its last parallel layer only at the probe (``last_row``).
+    The trunk's last parallel layer runs at that position only (``last_row``).
     """
     kind = model.config.connection_kind
     if kind not in ("gumbel_v1", "gumbel_v2"):
         raise AnalysisError(
             f"routing traces need a Gumbel model, got {kind!r}; use trace_dominance for share_linear"
         )
-    tokens = _prompt_array(prompt_tokens)
-    pos = len(tokens) - 1 if position is None else position
-    if not 0 <= pos < len(tokens):
-        raise AnalysisError(f"probe position {pos} is outside the {len(tokens)}-token prompt")
     with no_grad():
-        _, records = trunk(model, tokens[: pos + 1], last_row=True)
+        _, records = trunk(model, _prompt_array(prompt_tokens), last_row=True)
     pis = [rec.pi.data[0, -1].copy() for rec in records]
     selections = [int(np.argmax(pi)) for pi in pis]  # np.argmax breaks ties at the lowest index
-    return RoutingTrace(
-        prompt_tokens=tokens,
-        selections=selections,
-        pis=pis,
-        position=pos,
-        k=model.config.k_paths,
-    )
+    return RoutingTrace(selections=selections, pis=pis, k=model.config.k_paths)
 
 
 def trace_dominance(model: PaPaformerModel, prompt_tokens: np.ndarray) -> DominanceTrace:
@@ -119,21 +101,20 @@ def trace_dominance(model: PaPaformerModel, prompt_tokens: np.ndarray) -> Domina
         raise AnalysisError(
             f"dominance traces need a share_linear model, got {model.config.connection_kind!r}"
         )
-    tokens = _prompt_array(prompt_tokens)
-    with no_grad():
-        _, records = trunk(model, tokens)
     d_path = model.config.d_path
     dominant, cosines = [], []
-    for rec, layer in zip(records, model.parallel_layers):
-        y = rec.combined.data[0]  # [T, d_out]
-        scores = []
-        for i, f in enumerate(rec.path_outputs):
-            fi = f.data[0]
-            rep = fi @ layer.connection.w.data[i * d_path : (i + 1) * d_path] if layer.final else fi
-            scores.append(float(np.mean(cosine_similarity(Tensor(rep), Tensor(y)).data)))
-        dominant.append(int(np.argmax(scores)))
-        cosines.append(scores)
-    return DominanceTrace(prompt_tokens=tokens, dominant=dominant, cosines=cosines)
+    with no_grad():
+        _, records = trunk(model, _prompt_array(prompt_tokens))
+        for rec, layer in zip(records, model.parallel_layers):
+            y = rec.combined.data[0]  # [T, d_out]
+            scores = []
+            for i, f in enumerate(rec.path_outputs):
+                fi = f.data[0]
+                rep = fi @ layer.connection.w.data[i * d_path : (i + 1) * d_path] if layer.final else fi
+                scores.append(float(np.mean(cosine_similarity(Tensor(rep), Tensor(y)).data)))
+            dominant.append(int(np.argmax(scores)))
+            cosines.append(scores)
+    return DominanceTrace(dominant=dominant, cosines=cosines)
 
 
 def utilization(traces: list, domains: list) -> UtilizationReport:
@@ -196,7 +177,7 @@ class GenerationStep:
 class GenerationResult:
     tokens: np.ndarray  # prompt + continuation
     new_tokens: list
-    steps: list = field(default_factory=list)
+    steps: list
 
     def text(self, tokenizer) -> str:
         return tokenizer.detokenize(np.asarray(self.tokens, dtype=np.uint32))
@@ -212,34 +193,32 @@ def generate(
     model: PaPaformerModel,
     prompt_tokens: np.ndarray,
     max_new_tokens: int,
-    mode: str = "greedy",
-    temperature: float = 1.0,
+    temperature: float = 0.0,
     top_n: int = 5,
     rng: RngState | None = None,
 ) -> GenerationResult:
-    """Greedy or temperature sampling with per-step top-n probabilities.
+    """Continue a prompt, with per-step top-n probabilities.
 
-    Zero temperature falls back to greedy. The prompt runs through the model
-    once, filling a K/V cache; each later step runs only the token just
-    picked. Contexts longer than max_seq_len are truncated from the left with
-    a warning, keeping the most recent tokens visible to the model; since that
-    shifts every position, each such step drops the cache and runs the whole
-    window. Every forward reads only the last position's logits, so each runs
-    with ``last_row``. ``top_n`` below 1 or ``max_new_tokens`` below 0 raises
-    ConfigError.
+    A temperature above 0 samples from the softmax of logits / temperature,
+    which needs an ``rng``; any other (0, below 0, NaN) decodes greedily. The
+    prompt runs through the model once, filling a K/V cache; each later step
+    runs only the token just picked. Contexts longer than max_seq_len are
+    truncated from the left with a warning, keeping the most recent tokens
+    visible to the model; since that shifts every position, each such step
+    drops the cache and runs the whole window. Every forward reads only the
+    last position's logits, so each runs with ``last_row``. ``top_n`` below 1
+    or ``max_new_tokens`` below 0 raises ConfigError.
     """
     if top_n < 1:
         raise ConfigError(f"top_n: must be at least 1, got {top_n}")
     if max_new_tokens < 0:
         raise ConfigError(f"max_new_tokens: must be at least 0, got {max_new_tokens}")
-    if mode not in ("greedy", "sample"):
-        raise AnalysisError(f"unknown generation mode {mode!r}")
-    if mode == "sample" and temperature > 0 and rng is None:
+    if temperature > 0 and rng is None:
         raise AnalysisError("temperature sampling needs an rng")
     tokens = list(_prompt_array(prompt_tokens))
     limit = model.config.max_seq_len
     cache = KVCache()
-    result = GenerationResult(tokens=None, new_tokens=[])
+    steps = []
     for _ in range(max_new_tokens):
         if len(tokens) > limit:
             # the text is the same at every step, so the default warning filter shows it once
@@ -251,13 +230,13 @@ def generate(
             logits, _ = forward(model, np.asarray(fresh, dtype=np.int64), cache=cache, last_row=True)
         probs = _softmax(logits.data[-1])
         order = np.argsort(-probs)
-        if mode == "greedy" or temperature <= 0:
-            nxt = int(order[0])
-        else:
+        if temperature > 0:
             scaled = _softmax(logits.data[-1] / temperature)
             u = float(rng.uniform(()))
             nxt = int(np.searchsorted(np.cumsum(scaled), u))
-        result.steps.append(
+        else:
+            nxt = int(order[0])
+        steps.append(
             GenerationStep(
                 token=nxt,
                 top_tokens=[(int(t), float(probs[t])) for t in order[:top_n]],
@@ -265,9 +244,7 @@ def generate(
             )
         )
         tokens.append(nxt)
-        result.new_tokens.append(nxt)
-    result.tokens = np.asarray(tokens, dtype=np.int64)
-    return result
+    return GenerationResult(np.asarray(tokens, dtype=np.int64), [s.token for s in steps], steps)
 
 
 def format_generation(result: GenerationResult, tokenizer) -> str:

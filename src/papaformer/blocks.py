@@ -248,9 +248,9 @@ class KVCache:
     ``generate`` creates one per continuation and passes it down the forward
     path, so each step runs only its new tokens. Slots are keyed by the
     block's ``LayerBlockParams`` object; every block of a model is its own.
-    Each block keeps one key and one value buffer, [B, heads, capacity,
-    head_dim], that ``extend`` writes in place; on overflow the capacity
-    doubles (or grows to fit), so a cached step copies only its own rows.
+    Each block keeps one key and one value buffer, [B, heads, max_seq_len,
+    head_dim], allocated by its first ``extend``; every ``extend`` writes its
+    rows into them in place.
     """
 
     def __init__(self):
@@ -264,18 +264,14 @@ class KVCache:
         kv = self._kv.get(id(params))
         return 0 if kv is None else kv[2]
 
-    def extend(self, params: LayerBlockParams, k: np.ndarray, v: np.ndarray) -> tuple:
+    def extend(self, params: LayerBlockParams, k: np.ndarray, v: np.ndarray, max_seq_len: int) -> tuple:
         """Write new [B, T, heads, head_dim] keys and values; return views of all of them, head-major."""
-        keys, values, start = self._kv.get(id(params), (None, None, 0))
-        end = start + k.shape[1]
-        if keys is None or end > keys.shape[2]:
+        kv = self._kv.get(id(params))
+        if kv is None:
             b, _, heads, head_dim = k.shape
-            capacity = end if keys is None else max(end, 2 * keys.shape[2])
-            grown = [np.empty((b, heads, capacity, head_dim), dtype=z.dtype) for z in (k, v)]
-            if start:
-                for buf, old in zip(grown, (keys, values)):
-                    buf[:, :, :start] = old[:, :, :start]
-            keys, values = grown
+            kv = *(np.empty((b, heads, max_seq_len, head_dim), dtype=z.dtype) for z in (k, v)), 0
+        keys, values, start = kv
+        end = start + k.shape[1]
         keys[:, :, start:end] = k.transpose(0, 2, 1, 3)
         values[:, :, start:end] = v.transpose(0, 2, 1, 3)
         self._kv[id(params)] = (keys, values, end)
@@ -299,13 +295,15 @@ def causal_mha(
 ) -> Tensor:
     """Scaled dot-product attention with a strict causal mask and RoPE on q, k.
 
-    With a ``cache``, x holds the positions after those already cached: q and k
-    are rotated at their absolute positions, k and v are appended to the cache,
-    and the queries attend over every cached key. With ``last_row``, keys and
-    values cover every position but only the last one gets a query, so the
-    output is that position's row alone.
+    With a ``cache``, which ``max_seq_len`` sizes, x holds the positions after
+    those already cached: q and k are rotated at their absolute positions, k
+    and v are appended to the cache, and the queries attend over every cached
+    key. With ``last_row``, keys and values cover every position but only the
+    last one gets a query, so the output is that position's row alone.
     """
     t = x.shape[1]
+    if cache is not None and max_seq_len is None:
+        raise ConfigError("a K/V cache needs max_seq_len to size its buffers")
     start = 0 if cache is None else cache.start(params)
     if max_seq_len is not None and start + t > max_seq_len:
         raise ConfigError(f"sequence length {start + t} exceeds max_seq_len {max_seq_len}")
@@ -315,7 +313,7 @@ def causal_mha(
     if last_row:
         x, positions = x[:, -1:], positions[-1:]
     q = _heads(x, params.wq, params.heads, positions)
-    kv = None if cache is None else cache.extend(params, k.data, v.data)
+    kv = None if cache is None else cache.extend(params, k.data, v.data, max_seq_len)
     return causal_attention(q, k, v, kv) @ params.wo
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from papaformer.data import replacing
 from papaformer.model import ModelConfig, PaPaformerModel, build
 from papaformer.tensor import RngState
 
@@ -69,7 +70,7 @@ def save_checkpoint(
         "tensors": entries,
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         f.write(struct.pack(_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)))
         f.write(blob)
         for arr in arrays:

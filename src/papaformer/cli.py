@@ -42,6 +42,7 @@ from papaformer.data import (
     DataError,
     build_chunk_store,
     load_corpus_file,
+    replacing,
     synthetic_math_corpus,
     synthetic_story_corpus,
 )
@@ -184,8 +185,8 @@ def cmd_compose(args) -> int:
     model = compose(plan, RngState(env_seed(args.seed)))
     provenance = composition_provenance(model)
     save_checkpoint(args.out, model, provenance=provenance)
-    with open(args.out + ".provenance.json", "w", encoding="utf-8") as f:
-        json.dump(provenance, f, indent=2, sort_keys=True)
+    with replacing(args.out + ".provenance.json") as f:
+        f.write(json.dumps(provenance, indent=2, sort_keys=True).encode("utf-8"))
     for name, tag in provenance.items():
         print(f"{tag:<13} {name} <- {weight_source(name, tag)}")
     print(f"composite checkpoint: {args.out}")
@@ -208,18 +209,24 @@ def _read_prompts(path: str) -> list:
     return prompts
 
 
+def _model_and_store(args) -> tuple:
+    """The checkpoint's model and the chunk store whose tokenizer reads its prompts; their vocabs must match."""
+    model, store = load_checkpoint(args.checkpoint).model, ChunkStore.load(args.data)
+    if store.tokenizer.vocab_size != model.config.vocab_size:
+        sizes = f"{store.tokenizer.vocab_size} words, the checkpoint's model {model.config.vocab_size}"
+        raise DataError(f"{args.data}: the chunk store's vocab has {sizes}")
+    return model, store
+
+
 def cmd_analyze(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    store = ChunkStore.load(args.data)
+    model, store = _model_and_store(args)
     prompts = _read_prompts(args.prompts)
-    kind = ckpt.model.config.connection_kind
+    kind = model.config.connection_kind
     if kind == "none":
         raise AnalysisError("baseline models have no parallel layers to analyze")
     tracer = trace_dominance if kind == "share_linear" else trace_routing
-    traces, domains = [], []
-    for domain, text in prompts:
-        traces.append(tracer(ckpt.model, store.tokenizer.tokenize(text)))
-        domains.append(domain)
+    traces = [tracer(model, store.tokenizer.tokenize(text)) for _, text in prompts]
+    domains = [domain for domain, _ in prompts]
     for rec in trace_records(traces, domains):
         print(f"prompt={rec['prompt']} domain={rec['domain']} layer={rec['layer']} selection={rec['selection']}")
     print(format_utilization(utilization(traces, domains)))
@@ -227,17 +234,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    store = ChunkStore.load(args.data)
-    result = generate(
-        ckpt.model,
-        store.tokenizer.tokenize(args.prompt),
-        args.max_new_tokens,
-        mode=args.mode,
-        temperature=args.temperature,
-        top_n=args.top_n,
-        rng=RngState(env_seed(args.seed)),
-    )
+    model, store = _model_and_store(args)
+    tokens = store.tokenizer.tokenize(args.prompt)
+    result = generate(model, tokens, args.max_new_tokens, args.temperature, args.top_n, RngState(env_seed(args.seed)))
     print(f"prompt: {args.prompt}")
     print(f"continuation: {result.text(store.tokenizer)}")
     print("next token predictions:")
@@ -312,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--data", required=True)
     s.add_argument("--prompt", required=True)
     s.add_argument("--max-new-tokens", type=int, default=20)
-    s.add_argument("--mode", choices=("greedy", "sample"), default="greedy")
-    s.add_argument("--temperature", type=float, default=1.0)
+    s.add_argument("--temperature", type=float, default=0.0, help="0 (the default) decodes greedily; above 0 samples")
     s.add_argument("--top-n", type=int, default=5)
     s.add_argument("--seed", type=int, default=42)
     s.set_defaults(func=cmd_generate)

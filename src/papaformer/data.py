@@ -14,6 +14,7 @@ import array
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
@@ -38,6 +39,20 @@ UNK_TOKEN = "<unk>"
 
 class DataError(ValueError):
     """Corpus or chunk-store contents violate the pipeline's contract."""
+
+
+@contextmanager
+def replacing(path: str):
+    """Write ``<path>.tmp``, then move it over ``path``; on any exception remove it and leave ``path`` as it was."""
+    tmp = path + ".tmp"
+    f = open(tmp, "wb")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -323,7 +338,7 @@ class ChunkStore:
                 for c in self.chunks
             ],
         }
-        with open(path, "wb") as f:
+        with replacing(path) as f:
             f.write(_STORE_HEADER.pack(CHUNKSTORE_MAGIC, CHUNKSTORE_VERSION, self.seq_len, len(self.chunks)))
             # row by row from the chunks' own arrays: a stacked copy would hold the payload twice
             f.writelines(np.asarray(c.tokens, dtype="<u4") for c in self.chunks)

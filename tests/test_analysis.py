@@ -65,7 +65,6 @@ class TestRoutingTrace:
         trace = trace_routing(gumbel_model, PROMPT)
         assert len(trace.selections) == 3
         assert len(trace.pis) == 3
-        assert trace.position == len(PROMPT) - 1
 
     def test_selection_is_argmax_of_recorded_pi(self, gumbel_model):
         trace = trace_routing(gumbel_model, PROMPT)
@@ -92,10 +91,6 @@ class TestRoutingTrace:
         with pytest.raises(AnalysisError, match="trace_dominance"):
             trace_routing(share_model, PROMPT)
 
-    def test_probe_position_outside_prompt(self, gumbel_model):
-        with pytest.raises(AnalysisError, match="position 7"):
-            trace_routing(gumbel_model, [1, 2, 3], position=7)
-
     def test_truncation_warns_once_under_default_filter(self, gumbel_model):
         # a 4-token prompt at max_seq_len 16 truncates on 11 of 24 steps
         for action, count in (("always", 11), ("default", 1)):
@@ -115,7 +110,7 @@ class TestRoutingTrace:
         prompt = np.random.default_rng(3).integers(0, VOCAB, size=11)
         _, records = forward(m, prompt[None, :])
         for pos in (0, 4, 10):
-            trace = trace_routing(m, prompt, position=pos)
+            trace = trace_routing(m, prompt[: pos + 1])
             assert [p.tobytes() for p in trace.pis] == [rec.pi.data[0, pos].tobytes() for rec in records]
 
     def test_prompt_past_max_seq_len(self, gumbel_model):
@@ -124,21 +119,19 @@ class TestRoutingTrace:
 
     @pytest.mark.parametrize("kind", ["gumbel_v1", "gumbel_v2"])
     def test_interior_probe_is_trace_of_cut_prompt(self, kind):
+        # routing is causal: the trace of a prompt's first pos + 1 tokens probes position pos
         m = build(model_config(kind, n_parallel=3, n_layer_blocks=2), RngState(8))
         prompt = np.random.default_rng(4).integers(0, VOCAB, size=12)
         with no_grad():
             _, records = trunk(m, prompt)
         for pos in (0, 5, 11):
-            trace = trace_routing(m, prompt, position=pos)
-            cut = trace_routing(m, prompt[: pos + 1])
-            assert trace.position == cut.position == pos
-            assert trace.selections == cut.selections
-            assert [p.tobytes() for p in trace.pis] == [p.tobytes() for p in cut.pis]
+            trace = trace_routing(m, prompt[: pos + 1])
+            assert trace.selections == [int(np.argmax(rec.pi.data[0, pos])) for rec in records]
             for pi, rec in zip(trace.pis, records):
                 np.testing.assert_allclose(pi, rec.pi.data[0, pos], rtol=0, atol=1e-6)
 
     def test_combined_label(self):
-        t = RoutingTrace(PROMPT, selections=[2, 0], pis=[], position=4, k=2)
+        t = RoutingTrace(selections=[2, 0], pis=[], k=2)
         assert t.labels() == ["combined", "path_1"]
 
 
@@ -197,7 +190,7 @@ class TestDominanceTrace:
 
 
 def routing(selections, k=2):
-    return RoutingTrace(PROMPT, selections=selections, pis=[], position=0, k=k)
+    return RoutingTrace(selections=selections, pis=[], k=k)
 
 
 class TestUtilization:
@@ -232,7 +225,7 @@ class TestUtilization:
         assert report.cells == total
 
     def test_dominance_traces_aggregate_too(self):
-        traces = [DominanceTrace(PROMPT, dominant=[0, 0], cosines=[[0.9, 0.1], [0.8, 0.2]])]
+        traces = [DominanceTrace(dominant=[0, 0], cosines=[[0.9, 0.1], [0.8, 0.2]])]
         report = utilization(traces, ["story"])
         assert report.accuracy == pytest.approx(100.0)
         assert report.combined_share == pytest.approx(0.0)
@@ -266,8 +259,13 @@ class TestGenerate:
 
     def test_zero_temperature_equals_greedy(self, gumbel_model):
         greedy = generate(gumbel_model, PROMPT, 4)
-        cold = generate(gumbel_model, PROMPT, 4, mode="sample", temperature=0.0, rng=RngState(0))
+        cold = generate(gumbel_model, PROMPT, 4, temperature=0.0, rng=RngState(0))
         assert greedy.new_tokens == cold.new_tokens
+
+    def test_nan_temperature_decodes_greedily(self, gumbel_model):
+        greedy = generate(gumbel_model, PROMPT, 4)
+        nan = generate(gumbel_model, PROMPT, 4, temperature=float("nan"), rng=RngState(0))
+        assert nan.new_tokens == greedy.new_tokens
 
     def test_step_probabilities_normalized(self, gumbel_model):
         result = generate(gumbel_model, PROMPT, 3, top_n=4)
@@ -280,11 +278,11 @@ class TestGenerate:
 
     def test_sampling_needs_rng(self, gumbel_model):
         with pytest.raises(AnalysisError, match="rng"):
-            generate(gumbel_model, PROMPT, 1, mode="sample", temperature=1.0)
+            generate(gumbel_model, PROMPT, 1, temperature=1.0)
 
     def test_sampling_deterministic_under_seed(self, gumbel_model):
-        a = generate(gumbel_model, PROMPT, 4, mode="sample", temperature=1.5, rng=RngState(5))
-        b = generate(gumbel_model, PROMPT, 4, mode="sample", temperature=1.5, rng=RngState(5))
+        a = generate(gumbel_model, PROMPT, 4, temperature=1.5, rng=RngState(5))
+        b = generate(gumbel_model, PROMPT, 4, temperature=1.5, rng=RngState(5))
         assert a.new_tokens == b.new_tokens
 
     def test_context_overflow_truncates_from_left(self, gumbel_model):
@@ -308,10 +306,6 @@ class TestGenerate:
         result = generate(gumbel_model, PROMPT, 0)
         assert result.new_tokens == [] and list(result.tokens) == list(PROMPT)
 
-    def test_bad_mode(self, gumbel_model):
-        with pytest.raises(AnalysisError, match="mode"):
-            generate(gumbel_model, PROMPT, 1, mode="beam")
-
     def test_text_report(self, gumbel_model):
         corpora = [synthetic_story_corpus(10, seed=1), synthetic_math_corpus(10, seed=2)]
         tok = ToyTokenizer.build(corpora)
@@ -322,15 +316,19 @@ class TestGenerate:
         assert "%" in text
 
 
-def uncached_generate(model, prompt, n, mode, temperature, rng):
-    """generate's sampling rule with a fresh full-window forward at every step."""
+# the decoding modes the tests run, as the temperature that selects each
+TEMPERATURES = {"greedy": 0.0, "sample": 1.3}
+
+
+def uncached_generate(model, prompt, n, temperature, rng):
+    """generate's decoding rule with a fresh full-window forward at every step."""
     tokens, steps = list(prompt), []
     limit = model.config.max_seq_len
     for _ in range(n):
         logits, _ = forward(model, np.asarray(tokens[-limit:], dtype=np.int64))
         probs = _softmax(logits.data[-1])
         order = np.argsort(-probs)
-        if mode == "greedy":
+        if temperature <= 0:
             nxt = int(order[0])
         else:
             nxt = int(np.searchsorted(np.cumsum(_softmax(logits.data[-1] / temperature)), float(rng.uniform(()))))
@@ -351,8 +349,8 @@ class TestCachedGenerate:
         n = 6
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = generate(m, prompt, n, mode=mode, temperature=1.3, rng=RngState(9))
-        want = uncached_generate(m, prompt, n, mode, 1.3, RngState(9))
+            result = generate(m, prompt, n, TEMPERATURES[mode], rng=RngState(9))
+        want = uncached_generate(m, prompt, n, TEMPERATURES[mode], RngState(9))
         assert result.new_tokens == [t for t, _ in want]
         for step, (_, probs) in zip(result.steps, want):
             np.testing.assert_allclose([p for _, p in step.top_tokens], probs, atol=1e-6)
@@ -374,9 +372,9 @@ class TestCachedGenerate:
             return forward(model, tokens, **kwargs)
 
         monkeypatch.setattr(analysis, "forward", counting_forward)
-        result = generate(m, prompt, 6, mode=mode, temperature=1.3, rng=RngState(9))
+        result = generate(m, prompt, 6, TEMPERATURES[mode], rng=RngState(9))
         assert ran == [5, 1, 1, 1, 1, 1]
-        want = uncached_generate(m, prompt, 6, mode, 1.3, RngState(9))
+        want = uncached_generate(m, prompt, 6, TEMPERATURES[mode], RngState(9))
         assert result.new_tokens == [t for t, _ in want]
         for step, (_, probs) in zip(result.steps, want):
             np.testing.assert_allclose([p for _, p in step.top_tokens], probs, atol=1e-6)
@@ -416,3 +414,27 @@ class TestLoadedModelBlasThreads:
             probs[n] = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True,
                                       check=True).stdout
         assert probs[1] == probs[2]
+
+
+class TestNoTape:
+    """Evaluation runs under no_grad, so no tensor it makes keeps a backward closure."""
+
+    @pytest.mark.parametrize("verb", ["trace_routing", "trace_dominance", "generate"])
+    def test_no_backward_closures(self, verb, gumbel_model, share_model, monkeypatch):
+        closures = []
+        real_init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            closures.append(self._backward is not None)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # generate's truncation warning
+            {
+                "trace_routing": lambda: trace_routing(gumbel_model, PROMPT),
+                "trace_dominance": lambda: trace_dominance(share_model, PROMPT),
+                # sampled, and past max_seq_len 16
+                "generate": lambda: generate(gumbel_model, PROMPT, 14, temperature=1.0, rng=RngState(3)),
+            }[verb]()
+        assert closures and not any(closures)

@@ -188,12 +188,17 @@ class TestCausalMha:
 
             def loss(x_new):
                 cache = blocks.KVCache()
-                causal_mha(Tensor(x0[:, :3]), p, cache=cache)
-                return (causal_mha(x_new, p, cache=cache) * probe).sum()
+                causal_mha(Tensor(x0[:, :3]), p, 5, cache)
+                return (causal_mha(x_new, p, 5, cache) * probe).sum()
 
             check_grad(loss, x0[:, 3:], h=1e-5, tol=1e-6)
         finally:
             T.set_default_dtype(np.float32)
+
+    def test_cache_needs_max_seq_len(self):
+        p = make_params()
+        with pytest.raises(blocks.ConfigError, match="max_seq_len"):
+            causal_mha(Tensor(np.zeros((1, 3, 8))), p, cache=blocks.KVCache())
 
     def test_seq_len_limit(self):
         p = make_params()
@@ -226,7 +231,7 @@ class TestCausalMha:
         np.testing.assert_allclose(got_att, att, atol=1e-6)
         # the same positions in two chunks through one K/V cache
         cache = blocks.KVCache()
-        chunks = [causal_mha(x[:, :2], p, cache=cache).data, causal_mha(x[:, 2:], p, cache=cache).data]
+        chunks = [causal_mha(x[:, :2], p, 5, cache).data, causal_mha(x[:, 2:], p, 5, cache).data]
         assert cache.length == 5
         np.testing.assert_allclose(np.concatenate(chunks, axis=1), ref, rtol=1e-5, atol=1e-6)
 
@@ -397,15 +402,16 @@ class TestKVCache:
         rng = np.random.default_rng(47)
         rows = [rng.normal(size=(1, t, 2, 4)).astype(np.float32) for t in (5, 1, 1, 1)]
         cache = blocks.KVCache()
-        keys = [cache.extend(p, r, -r)[0] for r in rows]
+        kvs = [cache.extend(p, r, -r, 10) for r in rows]
         assert cache.start(p) == cache.length == 8
-        # the first step outgrows the prompt's buffer; from then on steps write in place
-        assert not np.shares_memory(keys[0], keys[1])
-        assert np.shares_memory(keys[1], keys[2]) and np.shares_memory(keys[2], keys[3])
+        # the first extend allocates max_seq_len rows; every extend, that one included, writes into them
+        keys, values = kvs[0][0].base, kvs[0][1].base
+        assert keys.shape == values.shape == (1, 2, 10, 4) and keys.dtype == values.dtype == np.float32
+        assert all(k.base is keys and v.base is values for k, v in kvs)
         want = np.concatenate(rows, axis=1).transpose(0, 2, 1, 3)
-        np.testing.assert_array_equal(keys[-1], want)
-        np.testing.assert_array_equal(keys[0], want[:, :, :5])  # earlier views keep their rows
-        assert keys[-1].dtype == np.float32
+        np.testing.assert_array_equal(kvs[-1][0], want)
+        np.testing.assert_array_equal(kvs[-1][1], -want)
+        np.testing.assert_array_equal(kvs[0][0], want[:, :, :5])  # earlier views keep their rows
 
 
 class TestSwiglu:

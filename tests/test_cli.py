@@ -1,3 +1,4 @@
+import errno
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from papaformer import cli, composer, trainer
+from papaformer import cli, composer, data, trainer
 from papaformer.checkpoint import read_manifest, save_checkpoint
 from papaformer.cli import (
     EXIT_COMPOSITION,
@@ -246,6 +247,22 @@ class TestCompose:
         assert rc == EXIT_CONFIG
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("store_args", [["--synthetic", "5"], ["--synthetic", "40", "--byte-fallback"]],
+                             ids=["smaller", "larger"])
+    def test_store_vocab_other_than_the_models_exits_data(self, workdir, capsys, store_args):
+        store = str(workdir / f"other_vocab_{len(store_args)}.ppch")
+        assert main(["pretokenize", *store_args, "--seq-len", "16", "--seed", "7", "--out", store]) == 0
+        composite = str(workdir / "composite.ppck")
+        have = ChunkStore.load(store).tokenizer.vocab_size
+        want = read_manifest(composite)["model_config"]["vocab_size"]
+        assert have != want
+        capsys.readouterr()
+        verbs = (["generate", "--prompt", "Once upon a time"], ["analyze", "--prompts", str(workdir / "prompts.tsv")])
+        for verb in verbs:
+            assert main([*verb, "--checkpoint", composite, "--data", store]) == EXIT_DATA
+            out, err = capsys.readouterr()
+            assert out == "" and f"vocab has {have} words, the checkpoint's model {want}" in err
+
     def test_plan_validated_once(self, workdir, monkeypatch):
         calls = []
         real = composer.validate_plan
@@ -334,6 +351,58 @@ class TestCompose:
         assert rc == 0
         out = capsys.readouterr().out
         assert "total scalars" in out and "[concatenated]" in out
+
+
+class HalfWrittenFile:
+    """A binary file whose first write stores half its bytes and then fails, as a full disk would."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, b):
+        b = memoryview(b).cast("B")
+        self.f.write(b[: len(b) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def writelines(self, lines):
+        for b in lines:
+            self.write(b)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+class TestArtifactsReplacedNotTruncated:
+    """A write that fails midway leaves the last good file byte for byte, and no temp file."""
+
+    @pytest.mark.parametrize("suffix", [".ppch", ".ppck", ".provenance.json"])
+    def test_failed_write_keeps_old_file(self, workdir, monkeypatch, capsys, suffix):
+        out = workdir / "replaced"
+        out.mkdir(exist_ok=True)
+        pretokenize = ["pretokenize", "--synthetic", "20", "--seq-len", "16", "--out", str(out / "s.ppch")]
+        compose = ["compose", str(workdir / "path1.ppck"), str(workdir / "path2.ppck"),
+                   "--config", str(workdir / "gumbel.yaml"), "--out", str(out / "c.ppck")]
+        argv, target = {
+            ".ppch": (pretokenize, out / "s.ppch"),
+            ".ppck": (compose, out / "c.ppck"),
+            ".provenance.json": (compose, out / "c.ppck.provenance.json"),
+        }[suffix]
+        assert main([*argv, "--seed", "3"]) == 0
+        old = target.read_bytes()
+        real_open = open
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            f = real_open(path, mode, *args, **kwargs)
+            return HalfWrittenFile(f) if "w" in mode and str(path).removesuffix(".tmp").endswith(suffix) else f
+
+        monkeypatch.setattr(data, "open", failing_open, raising=False)
+        assert main([*argv, "--seed", "4"]) == EXIT_DATA
+        assert "No space left on device" in capsys.readouterr().err
+        assert target.read_bytes() == old
+        assert not list(out.glob("*.tmp"))
 
 
 class TestCountParams:

@@ -281,7 +281,7 @@ class ConcatCache:
         kv = self.kv.get(id(params))
         return 0 if kv is None else kv[0].shape[2]
 
-    def extend(self, params, k, v) -> tuple:
+    def extend(self, params, k, v, max_seq_len) -> tuple:
         kv = tuple(z.transpose(0, 2, 1, 3) for z in (k, v))
         old = self.kv.get(id(params))
         if old is not None:
