@@ -59,8 +59,10 @@ def read_config(cls, d, prefix: str = ""):
 
 
 def weight(shape: tuple, rng: RngState | None) -> Tensor:
-    """A trainable N(0, INIT_STD) leaf, or zeros when ``rng`` is None (a skeleton leaf)."""
-    data = np.zeros(shape, dtype=default_dtype()) if rng is None else rng.normal(shape, std=INIT_STD)
+    """A trainable N(0, INIT_STD) leaf, or with ``rng`` None a skeleton leaf: a read-only zero view that
+    allocates nothing. Every caller replaces its ``.data`` (load, ``init_weights``, compose), so a stray
+    in-place write raises instead of landing in a weight that was never filled."""
+    data = np.broadcast_to(np.zeros((), default_dtype()), shape) if rng is None else rng.normal(shape, std=INIT_STD)
     return Tensor(data, requires_grad=True)
 
 

@@ -92,34 +92,48 @@ def read_manifest(path: str) -> dict:
         return _read_manifest(f, path)
 
 
+def _read_into(f, arr: np.ndarray, path: str, name: str) -> None:
+    """Fill ``arr`` from ``f``; one read returns at most 2 GiB - 4 KiB on Linux, so loop until full."""
+    buf = arr.reshape(-1).view(np.uint8)
+    got = 0
+    while got < buf.size:
+        n = f.readinto(buf[got:])
+        if not n:
+            raise CheckpointError(f"{path}: payload ends inside tensor {name!r} ({got} of {buf.size} bytes)")
+        got += n
+
+
 def load_checkpoint(path: str) -> Checkpoint:
-    # unbuffered, so the payload is read into one bytes object rather than read,
-    # then joined to the reader's buffered bytes in a second payload-sized copy
+    """Read each tensor straight into its own array, in manifest order: every payload byte is copied once."""
+    # unbuffered, so each tensor's bytes go from the file into its array with no reader buffer between
     with open(path, "rb", buffering=0) as f:
         manifest = _read_manifest(f, path)
-        payload = f.read()
-    model = build(ModelConfig.from_dict(manifest["model_config"]), None)
-    params = model.named_params()
-    provenance = {}
-    opt_tensors = {}
-    seen = set()
-    for e in manifest["tensors"]:
-        n = int(np.prod(e["shape"])) if e["shape"] else 1
-        arr = np.frombuffer(payload, dtype="<f4", count=n, offset=e["offset"]).reshape(e["shape"])
-        name = e["name"]
-        if name.startswith("opt."):
-            opt_tensors[name[4:]] = arr.copy()
-            continue
-        if name not in params:
-            raise CheckpointError(f"{path}: tensor {name!r} not present in model built from config")
-        if tuple(e["shape"]) != params[name].shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} shape {e['shape']} != model shape {params[name].shape}"
-            )
-        params[name].data = arr.astype(params[name].data.dtype)
-        provenance[name] = e["provenance"]
-        seen.add(name)
-    missing = set(params) - seen
+        model = build(ModelConfig.from_dict(manifest["model_config"]), None)
+        params = model.named_params()
+        provenance = {}
+        opt_tensors = {}
+        offset = 0
+        for e in manifest["tensors"]:
+            name, shape = e["name"], tuple(e["shape"])
+            if e["offset"] != offset:
+                raise CheckpointError(f"{path}: tensor {name!r} at payload offset {e['offset']}, expected {offset}")
+            is_opt = name.startswith("opt.")
+            if not is_opt:
+                if name not in params:
+                    raise CheckpointError(f"{path}: tensor {name!r} not present in model built from config")
+                if shape != params[name].shape:
+                    raise CheckpointError(
+                        f"{path}: tensor {name!r} shape {e['shape']} != model shape {params[name].shape}"
+                    )
+            arr = np.empty(shape, "<f4")
+            _read_into(f, arr, path, name)
+            offset += arr.nbytes
+            if is_opt:
+                opt_tensors[name[4:]] = arr
+            else:
+                params[name].data = arr.astype(params[name].data.dtype, copy=False)
+                provenance[name] = e["provenance"]
+    missing = set(params) - set(provenance)
     if missing:
         raise CheckpointError(f"{path}: missing tensors {sorted(missing)[:5]}")
     rng = None

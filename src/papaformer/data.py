@@ -13,6 +13,7 @@ from __future__ import annotations
 import array
 import json
 import os
+import stat
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -43,12 +44,17 @@ class DataError(ValueError):
 
 @contextmanager
 def replacing(path: str):
-    """Write ``<path>.tmp``, then move it over ``path``; on any exception remove it and leave ``path`` as it was."""
+    """Write ``<path>.tmp``, then move it over ``path``; on any exception remove it and leave ``path`` as it was.
+
+    A replaced file keeps the permission bits of the file it replaces; a new one gets the umask default.
+    """
     tmp = path + ".tmp"
     f = open(tmp, "wb")
     try:
         with f:
             yield f
+            if os.path.exists(path):
+                os.fchmod(f.fileno(), stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

@@ -213,8 +213,9 @@ def build(config: ModelConfig, rng: RngState | None) -> PaPaformerModel:
     """Initialize all parameters; deterministic under the rng's (seed, position).
 
     With ``rng=None`` the result is the model's skeleton: the same parameter
-    names, order, shapes and dtypes, with zeros where a fresh build draws
-    random weights, and no draws made. Checkpoint loading fills a skeleton;
+    names, order, shapes and dtypes, with read-only zero views that allocate
+    nothing where a fresh build draws random weights (``blocks.weight``), and
+    no draws made. Checkpoint loading fills a skeleton;
     parameter counts and composition provenance only read its names and shapes.
     A seeded build draws the skeleton's weight matrices with ``init_weights``.
     Every build claims the CPUs (``_claim_cpus``), a skeleton build too, so a

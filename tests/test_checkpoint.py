@@ -1,8 +1,13 @@
 import json
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from papaformer.checkpoint import (
     CHECKPOINT_MAGIC,
@@ -15,8 +20,8 @@ from papaformer.blocks import ConfigError
 from papaformer.cli import main
 from papaformer import composer
 from papaformer.composer import composition_provenance
-from papaformer.model import ModelConfig, build
-from papaformer.tensor import RngState
+from papaformer.model import CONNECTION_KINDS, ModelConfig, build
+from papaformer.tensor import RngState, default_dtype, set_default_dtype
 
 
 def small_config(**overrides):
@@ -220,3 +225,92 @@ class TestNoThrowawayBuild:
     def test_count_params_verb_makes_no_draws(self, no_draws, capsys):
         assert main(["count-params", "--config", "parallel_gumbel_v1"]) == 0
         assert "total" in capsys.readouterr().out
+
+
+def micro_config(kind: str, vocab_size: int = 5) -> ModelConfig:
+    """A model small enough that a test can cut its checkpoint at every payload byte."""
+    return small_config(
+        vocab_size=vocab_size, d_model=4, d_path=2, n_parallel_layers=int(kind != "none"), heads_layer=1, heads_path=1,
+        ff_layer=4, ff_path=2, max_seq_len=4, connection_kind=kind,
+    )
+
+
+def moments(model, seed: int) -> dict:
+    """Optimizer-state tensors shaped like a trainer's: first and second moments per parameter."""
+    gen = np.random.default_rng(seed)
+    return {
+        f"{m}.{name}": gen.standard_normal(t.shape).astype(np.float32)
+        for m in ("m", "v")
+        for name, t in model.named_params().items()
+    }
+
+
+def payload_start(raw: bytes) -> int:
+    head = struct.calcsize("<4sIQ")
+    return head + struct.unpack_from("<4sIQ", raw, 0)[2]
+
+
+class TestLoad:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(CONNECTION_KINDS),
+        vocab=st.integers(2, 12),
+        seed=st.integers(0, 2**16),
+        with_opt=st.booleans(),
+    )
+    def test_save_load_save_is_byte_identical(self, kind, vocab, seed, with_opt):
+        model = build(micro_config(kind, vocab), RngState(seed))
+        opt = moments(model, seed) if with_opt else None
+        with tempfile.TemporaryDirectory() as d:
+            p1, p2 = str(Path(d) / "a.ppck"), str(Path(d) / "b.ppck")
+            save_checkpoint(p1, model, rng=RngState(seed, 3), opt_tensors=opt, extra={"step": seed})
+            ck = load_checkpoint(p1)
+            assert sorted(ck.opt_tensors) == sorted(opt or {})
+            save_checkpoint(p2, ck.model, provenance=ck.provenance, rng=ck.rng, opt_tensors=ck.opt_tensors,
+                            extra=ck.extra)
+            assert Path(p1).read_bytes() == Path(p2).read_bytes()
+
+    @pytest.mark.parametrize("kind", CONNECTION_KINDS)
+    def test_every_cut_inside_the_payload_raises(self, kind, tmp_path):
+        model = build(micro_config(kind), RngState(4))
+        whole, cut = tmp_path / "whole.ppck", tmp_path / "cut.ppck"
+        save_checkpoint(str(whole), model, opt_tensors={"m.embed": np.ones(model.embed.shape, np.float32)})
+        raw = whole.read_bytes()
+        for n in range(payload_start(raw), len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(CheckpointError, match=re.escape(f"{cut}: payload ends inside tensor")):
+                load_checkpoint(str(cut))
+
+    def test_offset_out_of_order_raises(self, model, tmp_path):
+        p = str(tmp_path / "o.ppck")
+        save_checkpoint(p, model)
+        rewrite_manifest(p, lambda man: man["tensors"][1].update(offset=man["tensors"][1]["offset"] + 4))
+        with pytest.raises(CheckpointError, match="offset"):
+            load_checkpoint(p)
+
+
+class TestLoadedArraysOwnTheirMemory:
+    def test_params_and_moments_are_separate_writable_arrays(self, model, tmp_path):
+        p = str(tmp_path / "own.ppck")
+        save_checkpoint(p, model, opt_tensors=moments(model, 0))
+        ck = load_checkpoint(p)
+        params = [t.data for t in ck.model.named_params().values()]
+        for a in params:
+            assert a.flags.c_contiguous and a.flags.writeable and a.dtype == default_dtype()
+        arrays = params + list(ck.opt_tensors.values())
+        for i, a in enumerate(params):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    def test_float32_checkpoint_loads_as_float64(self, model, tmp_path):
+        p = str(tmp_path / "f32.ppck")
+        save_checkpoint(p, model)
+        set_default_dtype(np.float64)
+        try:
+            loaded = load_checkpoint(p).model.named_params()
+        finally:
+            set_default_dtype(np.float32)
+        for name, t in model.named_params().items():
+            a = loaded[name].data
+            assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable, name
+            np.testing.assert_array_equal(a, t.data)

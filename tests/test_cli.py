@@ -1,5 +1,8 @@
 import errno
+import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
 import threading
@@ -375,6 +378,18 @@ class HalfWrittenFile:
         self.f.close()
 
 
+def artifact_writer(workdir, out, suffix: str) -> tuple:
+    """The argv of the verb that writes the artifact with ``suffix`` into ``out``, and its path."""
+    pretokenize = ["pretokenize", "--synthetic", "20", "--seq-len", "16", "--out", str(out / "s.ppch")]
+    compose = ["compose", str(workdir / "path1.ppck"), str(workdir / "path2.ppck"),
+               "--config", str(workdir / "gumbel.yaml"), "--out", str(out / "c.ppck")]
+    return {
+        ".ppch": (pretokenize, out / "s.ppch"),
+        ".ppck": (compose, out / "c.ppck"),
+        ".provenance.json": (compose, out / "c.ppck.provenance.json"),
+    }[suffix]
+
+
 class TestArtifactsReplacedNotTruncated:
     """A write that fails midway leaves the last good file byte for byte, and no temp file."""
 
@@ -382,14 +397,7 @@ class TestArtifactsReplacedNotTruncated:
     def test_failed_write_keeps_old_file(self, workdir, monkeypatch, capsys, suffix):
         out = workdir / "replaced"
         out.mkdir(exist_ok=True)
-        pretokenize = ["pretokenize", "--synthetic", "20", "--seq-len", "16", "--out", str(out / "s.ppch")]
-        compose = ["compose", str(workdir / "path1.ppck"), str(workdir / "path2.ppck"),
-                   "--config", str(workdir / "gumbel.yaml"), "--out", str(out / "c.ppck")]
-        argv, target = {
-            ".ppch": (pretokenize, out / "s.ppch"),
-            ".ppck": (compose, out / "c.ppck"),
-            ".provenance.json": (compose, out / "c.ppck.provenance.json"),
-        }[suffix]
+        argv, target = artifact_writer(workdir, out, suffix)
         assert main([*argv, "--seed", "3"]) == 0
         old = target.read_bytes()
         real_open = open
@@ -404,8 +412,54 @@ class TestArtifactsReplacedNotTruncated:
         assert target.read_bytes() == old
         assert not list(out.glob("*.tmp"))
 
+    @pytest.mark.parametrize("suffix", [".ppch", ".ppck", ".provenance.json"])
+    def test_rewrite_keeps_the_old_mode_and_a_new_file_gets_the_umask_default(self, workdir, suffix):
+        out = workdir / f"modes{suffix}"
+        out.mkdir()
+        argv, target = artifact_writer(workdir, out, suffix)
+        umask = os.umask(0)
+        os.umask(umask)
+        assert main(argv) == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+        target.chmod(0o600)
+        assert main(argv) == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+class TestCutCheckpoint:
+    def test_generate_from_a_cut_payload_exits_data(self, workdir, capsys):
+        vocab = ChunkStore.load(str(workdir / "store.ppch")).tokenizer.vocab_size
+        model = build(model_config_from(load_config(str(workdir / "path.yaml")), vocab_size=vocab), RngState(2))
+        whole, cut = workdir / "whole.ppck", workdir / "cut.ppck"
+        save_checkpoint(str(whole), model)
+        raw = whole.read_bytes()
+        start = len(raw) - 4 * sum(t.size for t in model.named_params().values())
+        argv = ["generate", "--data", str(workdir / "store.ppch"), "--prompt", "Once upon", "--max-new-tokens", "1"]
+        assert main([*argv, "--checkpoint", str(whole)]) == 0
+        capsys.readouterr()
+        for n in (start, start + 1, (start + len(raw)) // 2, len(raw) - 1):
+            cut.write_bytes(raw[:n])
+            assert main([*argv, "--checkpoint", str(cut)]) == EXIT_DATA
+            assert f"{cut}: payload ends inside tensor" in capsys.readouterr().err
+
 
 class TestCountParams:
+    @pytest.mark.parametrize(
+        "preset,digest",
+        [
+            ("base_192", "e5e79d2f8d6a3628"),
+            ("base_256", "df5ef1858d8723e9"),
+            ("path", "1b2999afe1ab0233"),
+            ("parallel_share_linear", "76960bfbacbfa225"),
+            ("parallel_gumbel_v1", "5dba803a15ebb3f4"),
+            ("parallel_gumbel_v2", "3c0b0faf561c5cf7"),
+        ],
+    )
+    def test_stdout_is_pinned(self, preset, digest, capsys):
+        # counts read a skeleton's shapes; a skeleton leaf that reported another size would move these
+        assert main(["count-params", "--config", preset]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
     def test_base_256_preset_is_32m_class(self, capsys):
         assert main(["count-params", "--config", "base_256"]) == 0
         total = int(capsys.readouterr().out.splitlines()[-1].split()[0].replace(",", ""))

@@ -395,6 +395,17 @@ class TestSkeleton:
             else:
                 assert not leaf.data.any(), name
 
+    @pytest.mark.parametrize("kind", CONNECTION_KINDS)
+    def test_weight_leaves_are_read_only_zero_views(self, kind, each_default_dtype):
+        # a skeleton allocates no weight memory, and a write before the weight is filled raises
+        for name, leaf in build(tiny_config(kind), None).named_params().items():
+            if "norm" in name:
+                continue
+            assert not leaf.data.flags.writeable, name
+            assert leaf.data.strides == (0,) * leaf.ndim, name
+            with pytest.raises(ValueError, match="read-only"):
+                leaf.data += 1
+
     @pytest.mark.parametrize(
         "kind,position,digest",
         [
