@@ -11,18 +11,19 @@ identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from papaformer.data import replacing
+from papaformer.data import read_header, read_into, replacing
 from papaformer.model import ModelConfig, PaPaformerModel, build
 from papaformer.tensor import RngState
 
 CHECKPOINT_MAGIC = b"PPCK"
 CHECKPOINT_VERSION = 1
-_HEADER = "<4sIQ"
+_HEADER = struct.Struct("<4sIQ")
 
 
 class CheckpointError(ValueError):
@@ -71,36 +72,31 @@ def save_checkpoint(
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with replacing(path) as f:
-        f.write(struct.pack(_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)))
+        f.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)))
         f.write(blob)
         for arr in arrays:
             f.write(arr)  # from the array's own buffer; tobytes() would copy it
 
 
 def _read_manifest(f, path: str) -> dict:
-    """Unpack and check the header at ``f``'s position, then decode the JSON manifest after it."""
-    magic, version, mlen = struct.unpack(_HEADER, f.read(struct.calcsize(_HEADER)))
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic {magic!r})")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    return json.loads(f.read(mlen).decode("utf-8"))
+    """The JSON manifest after the header at ``f``'s position, once the rest of the file is the payload it lists."""
+    (_, _, mlen), left = read_header(f, path, _HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError)
+    manifest = json.loads(f.read(mlen).decode("utf-8"))
+    end = 0
+    for e in manifest["tensors"]:
+        if e["offset"] != end:
+            raise CheckpointError(f"{path}: tensor {e['name']!r} at payload offset {e['offset']}, expected {end}")
+        end += 4 * math.prod(e["shape"])
+        if mlen + end > left:
+            raise CheckpointError(f"{path}: payload ends inside tensor {e['name']!r} ({left - mlen} < {end} bytes)")
+    if mlen + end != left:
+        raise CheckpointError(f"{path}: the file runs {left - mlen - end} bytes past the {end}-byte payload")
+    return manifest
 
 
 def read_manifest(path: str) -> dict:
     with open(path, "rb") as f:
         return _read_manifest(f, path)
-
-
-def _read_into(f, arr: np.ndarray, path: str, name: str) -> None:
-    """Fill ``arr`` from ``f``; one read returns at most 2 GiB - 4 KiB on Linux, so loop until full."""
-    buf = arr.reshape(-1).view(np.uint8)
-    got = 0
-    while got < buf.size:
-        n = f.readinto(buf[got:])
-        if not n:
-            raise CheckpointError(f"{path}: payload ends inside tensor {name!r} ({got} of {buf.size} bytes)")
-        got += n
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -112,11 +108,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         params = model.named_params()
         provenance = {}
         opt_tensors = {}
-        offset = 0
         for e in manifest["tensors"]:
             name, shape = e["name"], tuple(e["shape"])
-            if e["offset"] != offset:
-                raise CheckpointError(f"{path}: tensor {name!r} at payload offset {e['offset']}, expected {offset}")
             is_opt = name.startswith("opt.")
             if not is_opt:
                 if name not in params:
@@ -126,8 +119,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                         f"{path}: tensor {name!r} shape {e['shape']} != model shape {params[name].shape}"
                     )
             arr = np.empty(shape, "<f4")
-            _read_into(f, arr, path, name)
-            offset += arr.nbytes
+            read_into(f, arr, path, f"tensor {name!r}", CheckpointError)
             if is_opt:
                 opt_tensors[name[4:]] = arr
             else:

@@ -42,6 +42,7 @@ from papaformer.data import (
     DataError,
     build_chunk_store,
     load_corpus_file,
+    read_text,
     replacing,
     synthetic_math_corpus,
     synthetic_story_corpus,
@@ -73,8 +74,7 @@ def _preset_path(name: str):
 def load_config(ref: str) -> dict:
     """Parse a YAML config file or packaged preset name; strict on keys."""
     if os.path.exists(ref):
-        with open(ref, "r", encoding="utf-8") as f:
-            text = f.read()
+        text = read_text(ref, ConfigError)
     else:
         preset = _preset_path(ref)
         if preset is None:
@@ -195,15 +195,13 @@ def cmd_compose(args) -> int:
 
 def _read_prompts(path: str) -> list:
     prompts = []
-    with open(path, "r", encoding="utf-8") as f:
-        for i, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            domain, sep, text = line.partition("\t")
-            if not sep:
-                raise DataError(f"{path}:{i}: expected 'domain<TAB>prompt'")
-            prompts.append((domain.strip(), text.strip()))
+    for i, line in enumerate(read_text(path, DataError).split("\n"), start=1):
+        if not line.strip():
+            continue
+        domain, sep, text = line.partition("\t")
+        if not sep:
+            raise DataError(f"{path}:{i}: expected 'domain<TAB>prompt'")
+        prompts.append((domain.strip(), text.strip()))
     if not prompts:
         raise DataError(f"{path}: no prompts")
     return prompts

@@ -79,10 +79,11 @@ def validate_plan(plan: CompositionPlan) -> list:
     for i, c in enumerate(configs):
         if c is None:
             continue
-        if c.d_model != target.d_path:
-            conflicts.append(
-                f"path {i + 1}: width d_model={c.d_model} != target d_path={target.d_path}"
-            )
+        for mine, theirs in (("d_model", "d_path"), ("ff_layer", "ff_path"), ("heads_layer", "heads_path")):
+            if getattr(c, mine) != getattr(target, theirs):
+                conflicts.append(
+                    f"path {i + 1}: {mine}={getattr(c, mine)} != target {theirs}={getattr(target, theirs)}"
+                )
         if c.n_layer_blocks != target.n_parallel_layers:
             conflicts.append(
                 f"path {i + 1}: {c.n_layer_blocks} layer blocks != target "
@@ -90,11 +91,6 @@ def validate_plan(plan: CompositionPlan) -> list:
             )
         if c.connection_kind != "none":
             conflicts.append(f"path {i + 1}: source must be a plain stack, not parallel")
-    widths = [c.d_model for c in configs if c is not None]
-    if len(widths) == target.k_paths and sum(widths) != target.d_model:
-        conflicts.append(
-            f"widths: sum of path widths {sum(widths)} != target d_model={target.d_model}"
-        )
     return conflicts
 
 

@@ -61,6 +61,37 @@ def replacing(path: str):
         raise
 
 
+def read_header(f, path: str, header: struct.Struct, magic: bytes, version: int, error: type) -> tuple:
+    """``header``'s fields at ``f``'s position and the bytes after it; raises ``error`` on a short or foreign header."""
+    raw = f.read(header.size)
+    if len(raw) < header.size:
+        raise error(f"{path}: truncated file ({len(raw)} bytes, the header needs {header.size})")
+    fields = header.unpack(raw)
+    if fields[:2] != (magic, version):
+        raise error(f"{path}: magic {fields[0]!r} version {fields[1]}, expected {magic!r} version {version}")
+    return fields, os.fstat(f.fileno()).st_size - f.tell()
+
+
+def read_text(path: str, error: type) -> str:
+    """The text of UTF-8 file ``path``, decoded whole, so a byte that does not decode raises ``error`` at its offset."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 at byte {e.start} ({e.reason})") from None
+
+
+def read_into(f, arr: np.ndarray, path: str, what: str, error: type) -> None:
+    """Fill ``arr`` from ``f``; one read returns at most 2 GiB - 4 KiB on Linux, so loop until full."""
+    buf = arr.reshape(-1).view(np.uint8)
+    got = 0
+    while got < buf.size:
+        n = f.readinto(buf[got:])
+        if not n:
+            raise error(f"{path}: payload ends inside {what} ({got} of {buf.size} bytes)")
+        got += n
+
+
 @dataclass
 class Corpus:
     documents: list
@@ -303,8 +334,7 @@ def synthetic_math_corpus(n_docs: int, seed: int) -> Corpus:
 
 def load_corpus_file(path: str, domain_tag: str) -> Corpus:
     """One document per non-empty line, UTF-8."""
-    with open(path, encoding="utf-8") as f:
-        docs = [line.strip() for line in f if line.strip()]
+    docs = [line.strip() for line in read_text(path, DataError).split("\n") if line.strip()]
     if not docs:
         raise DataError(f"corpus file {path} is empty")
     return Corpus(documents=docs, domain_tag=domain_tag)
@@ -354,20 +384,12 @@ class ChunkStore:
     def load(cls, path: str) -> "ChunkStore":
         """Read a store written by ``save``; a truncated or malformed file raises DataError."""
         with open(path, "rb") as f:
-            size = os.fstat(f.fileno()).st_size
-            header = f.read(_STORE_HEADER.size)
-            if len(header) < _STORE_HEADER.size:
-                raise DataError(f"{path}: truncated chunk store ({size} bytes, header needs {_STORE_HEADER.size})")
-            magic, version, seq_len, count = _STORE_HEADER.unpack(header)
-            if magic != CHUNKSTORE_MAGIC:
-                raise DataError(f"{path}: not a chunk store (bad magic {magic!r})")
-            if version != CHUNKSTORE_VERSION:
-                raise DataError(f"{path}: unsupported chunk-store version {version}")
-            payload = count * seq_len * 4
-            if _STORE_HEADER.size + payload > size:
-                raise DataError(f"{path}: truncated chunk store ({size} bytes, {count} chunks of {seq_len} tokens)")
+            header, left = read_header(f, path, _STORE_HEADER, CHUNKSTORE_MAGIC, CHUNKSTORE_VERSION, DataError)
+            seq_len, count = header[2:]
+            if count * seq_len * 4 > left:
+                raise DataError(f"{path}: truncated chunk store ({left} bytes for {count} chunks of {seq_len} tokens)")
             tokens = np.empty((count, seq_len), dtype="<u4")
-            f.readinto(tokens)
+            read_into(f, tokens, path, "the token array", DataError)
             tail = f.read()
         try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
             provenance = json.loads(tail)
@@ -381,6 +403,9 @@ class ChunkStore:
             raise DataError(f"{path}: malformed chunk-store provenance ({type(e).__name__}: {e})") from None
         if len(metas) != count:
             raise DataError(f"{path}: the header counts {count} chunks, the provenance {len(metas)}")
+        top = int(tokens.max(initial=0))
+        if top >= tokenizer.vocab_size:
+            raise DataError(f"{path}: token id {top} is outside the vocab of {tokenizer.vocab_size} words")
         return cls(seq_len=seq_len, chunks=chunks, tokenizer=tokenizer)
 
 

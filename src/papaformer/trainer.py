@@ -93,8 +93,8 @@ class OptimizerState:
 
     @classmethod
     def from_tensors(cls, tensors: dict, step: int) -> "OptimizerState":
-        m = {n[2:]: a.copy() for n, a in tensors.items() if n.startswith("m.")}
-        v = {n[2:]: a.copy() for n, a in tensors.items() if n.startswith("v.")}
+        m = {n[2:]: a for n, a in tensors.items() if n.startswith("m.")}
+        v = {n[2:]: a for n, a in tensors.items() if n.startswith("v.")}
         return cls(m=m, v=v, step=step)
 
 
@@ -229,10 +229,10 @@ def train(
     starts at the state's ``global_step``, so resumed training is bit-identical
     to an uninterrupted run.
 
-    A step's micro-batches run in waves of up to one per usable CPU, each on
-    its own thread and tape. Micro-batch j draws its Gumbel noise from the
-    stream position the serial loop would reach it at, and each wave's
-    gradients are added into ``.grad`` in micro-batch order, so the result is
+    A step's micro-batches run on up to one thread per usable CPU, each on
+    its own tape. Micro-batch j draws its Gumbel noise from the stream
+    position the serial loop would reach it at, and its gradients are added
+    into ``.grad`` in micro-batch order as results arrive, so the result is
     the same bit for bit at any worker count.
     """
     if state is None:
@@ -264,26 +264,21 @@ def train(
             t0 = time.perf_counter()
             acc = {"ce": 0.0, "entropy": 0.0, "load": 0.0, "total": 0.0}
             n_tokens = 0
-            for w in range(0, len(micro), workers):
-                wave = micro[w : w + workers]
-                start = state.model_rng.position
-                rngs = [RngState(state.model_rng.seed, start + j * draws) for j in range(len(wave))]
-                results = list(
-                    run(lambda batch, rng: _micro_step(model, batch, rng, cfg, state.global_step), wave, rngs)
-                )
-                for j, rng in enumerate(rngs):
-                    if rng.position != start + (j + 1) * draws:
-                        raise RuntimeError(
-                            f"a training forward drew {rng.position - start - j * draws} times, not {draws}: "
-                            "micro-batches would not draw the serial loop's noise"
-                        )
-                state.model_rng.position = start + len(wave) * draws
-                for batch, (scalars, sink, tokens) in zip(wave, results):
-                    add_grads(sink)
-                    for k in acc:
-                        acc[k] += scalars[k] / accum
-                    n_tokens += tokens
-                    report.consumed.extend((c.corpus, c.sub_collection, c.epoch, c.start) for c in batch)
+            start = state.model_rng.position
+            rngs = [RngState(state.model_rng.seed, start + j * draws) for j in range(len(micro))]
+            results = run(lambda batch, rng: _micro_step(model, batch, rng, cfg, state.global_step), micro, rngs)
+            for j, (batch, rng, (scalars, sink, tokens)) in enumerate(zip(micro, rngs, results)):
+                if rng.position != start + (j + 1) * draws:
+                    raise RuntimeError(
+                        f"a training forward drew {rng.position - start - j * draws} times, not {draws}: "
+                        "micro-batches would not draw the serial loop's noise"
+                    )
+                add_grads(sink)
+                for k in acc:
+                    acc[k] += scalars[k] / accum
+                n_tokens += tokens
+                report.consumed.extend((c.corpus, c.sub_collection, c.epoch, c.start) for c in batch)
+            state.model_rng.position = start + len(micro) * draws
             if cfg.grad_clip > 0:
                 clip_gradients(params, cfg.grad_clip)
             adamw_step(params, state.opt, lr_t, cfg)

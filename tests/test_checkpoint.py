@@ -18,7 +18,7 @@ from papaformer.checkpoint import (
 )
 from papaformer.blocks import ConfigError
 from papaformer.cli import main
-from papaformer import composer
+from papaformer import checkpoint, composer
 from papaformer.composer import composition_provenance
 from papaformer.model import CONNECTION_KINDS, ModelConfig, build
 from papaformer.tensor import RngState, default_dtype, set_default_dtype
@@ -140,7 +140,28 @@ def rewrite_manifest(path, mutate):
         f.write(raw[head + mlen :])
 
 
+def promise_a_huge_vocab(man):
+    """Edit a manifest to describe a model with 10^11 words: terabytes of embedding and head the file does not hold."""
+    vocab, man["model_config"]["vocab_size"] = man["model_config"]["vocab_size"], 10**11
+    offset = 0
+    for e in man["tensors"]:
+        if e["name"] in ("embed", "lm_head"):
+            e["shape"] = [10**11 if n == vocab else n for n in e["shape"]]
+        e["offset"] = offset
+        offset += 4 * int(np.prod(e["shape"], dtype=np.int64))
+
+
 class TestErrors:
+    def test_every_cut_inside_the_header_raises(self, model, tmp_path):
+        whole, cut = tmp_path / "whole.ppck", tmp_path / "cut.ppck"
+        save_checkpoint(str(whole), model)
+        raw = whole.read_bytes()
+        for n in range(struct.calcsize("<4sIQ")):
+            cut.write_bytes(raw[:n])
+            for read in (load_checkpoint, read_manifest):
+                with pytest.raises(CheckpointError, match=re.escape(f"{cut}: truncated file ({n} bytes")):
+                    read(str(cut))
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.ppck"
         p.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -280,6 +301,24 @@ class TestLoad:
             cut.write_bytes(raw[:n])
             with pytest.raises(CheckpointError, match=re.escape(f"{cut}: payload ends inside tensor")):
                 load_checkpoint(str(cut))
+
+    def test_tensor_past_the_end_of_the_file_raises_before_allocating(self, model, tmp_path, monkeypatch):
+        p = tmp_path / "huge.ppck"
+        save_checkpoint(str(p), model)
+        rewrite_manifest(str(p), promise_a_huge_vocab)
+        monkeypatch.setattr(checkpoint, "build", lambda *a: pytest.fail("built a model the file cannot hold"))
+        monkeypatch.setattr(checkpoint.np, "empty", lambda *a: pytest.fail("allocated a tensor the file cannot hold"))
+        for read in (load_checkpoint, read_manifest):
+            with pytest.raises(CheckpointError, match=re.escape(f"{p}: payload ends inside tensor 'embed'")):
+                read(str(p))
+
+    def test_bytes_after_the_payload_raise(self, model, tmp_path):
+        p = tmp_path / "long.ppck"
+        save_checkpoint(str(p), model)
+        p.write_bytes(p.read_bytes() + b"\0")
+        for read in (load_checkpoint, read_manifest):
+            with pytest.raises(CheckpointError, match="runs 1 bytes past the"):
+                read(str(p))
 
     def test_offset_out_of_order_raises(self, model, tmp_path):
         p = str(tmp_path / "o.ppck")

@@ -26,6 +26,7 @@ from papaformer.cli import (
 from papaformer.data import ChunkStore
 from papaformer.model import build
 from papaformer.tensor import RngState
+from test_checkpoint import promise_a_huge_vocab, rewrite_manifest
 
 TINY_MODEL = """
 model:
@@ -349,6 +350,18 @@ class TestCompose:
         assert rc == EXIT_COMPOSITION
         assert "error: composition" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, target_key", [("ff_layer", 48, "ff_path"), ("heads_layer", 4, "heads_path")])
+    def test_paths_of_another_ffn_width_or_head_count_exit_composition(self, workdir, capsys, key, value, target_key):
+        paths = []
+        for i in (1, 2):
+            paths.append(str(workdir / f"{key}-path{i}.ppck"))
+            save_checkpoint(paths[-1], path_model(workdir, i, **{key: value}))
+        out = workdir / f"{key}-composite.ppck"
+        argv = ["compose", *paths, "--config", str(workdir / "gumbel.yaml"), "--out", str(out)]
+        assert main(argv) == EXIT_COMPOSITION
+        assert f"path 2: {key}={value} != target {target_key}=" in capsys.readouterr().err
+        assert not list(workdir.glob(f"{key}-composite*"))
+
     def test_inspect_checkpoint(self, workdir, capsys):
         rc = main(["inspect-checkpoint", str(workdir / "composite.ppck")])
         assert rc == 0
@@ -426,21 +439,57 @@ class TestArtifactsReplacedNotTruncated:
         assert stat.S_IMODE(target.stat().st_mode) == 0o600
 
 
+def path_model(workdir, seed: int, **overrides):
+    """A path model of ``path.yaml``'s shape, with ``overrides``, at the store's vocab."""
+    vocab = ChunkStore.load(str(workdir / "store.ppch")).tokenizer.vocab_size
+    raw = load_config(str(workdir / "path.yaml"))
+    return build(model_config_from({"model": {**raw["model"], **overrides}}, vocab_size=vocab), RngState(seed))
+
+
+GENERATE = ["generate", "--prompt", "Once upon", "--max-new-tokens", "1", "--data"]
+
+
 class TestCutCheckpoint:
     def test_generate_from_a_cut_payload_exits_data(self, workdir, capsys):
-        vocab = ChunkStore.load(str(workdir / "store.ppch")).tokenizer.vocab_size
-        model = build(model_config_from(load_config(str(workdir / "path.yaml")), vocab_size=vocab), RngState(2))
+        model = path_model(workdir, 2)
         whole, cut = workdir / "whole.ppck", workdir / "cut.ppck"
         save_checkpoint(str(whole), model)
         raw = whole.read_bytes()
         start = len(raw) - 4 * sum(t.size for t in model.named_params().values())
-        argv = ["generate", "--data", str(workdir / "store.ppch"), "--prompt", "Once upon", "--max-new-tokens", "1"]
+        argv = [*GENERATE, str(workdir / "store.ppch")]
         assert main([*argv, "--checkpoint", str(whole)]) == 0
         capsys.readouterr()
         for n in (start, start + 1, (start + len(raw)) // 2, len(raw) - 1):
             cut.write_bytes(raw[:n])
             assert main([*argv, "--checkpoint", str(cut)]) == EXIT_DATA
             assert f"{cut}: payload ends inside tensor" in capsys.readouterr().err
+
+    def test_generate_from_a_cut_header_exits_data(self, workdir, capsys):
+        whole, cut = workdir / "whole-h.ppck", workdir / "cut-h.ppck"
+        save_checkpoint(str(whole), path_model(workdir, 2))
+        for n in (0, 1, 4, 15):
+            cut.write_bytes(whole.read_bytes()[:n])
+            assert main([*GENERATE, str(workdir / "store.ppch"), "--checkpoint", str(cut)]) == EXIT_DATA
+            assert f"{cut}: truncated file ({n} bytes, the header needs 16)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["generate", "inspect-checkpoint"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.write_bytes(p.read_bytes()[:-100]), "payload ends inside tensor 'lm_head'"),
+            (lambda p: p.write_bytes(p.read_bytes() + b"\0"), "the file runs 1 bytes past the"),
+            (lambda p: rewrite_manifest(str(p), promise_a_huge_vocab), "payload ends inside tensor 'embed'"),
+        ],
+        ids=["cut-100-bytes", "one-byte-more", "terabyte-manifest"],
+    )
+    def test_file_size_other_than_the_manifest_lists_exits_data(self, workdir, capsys, verb, edit, message):
+        p = workdir / f"edited-{verb}.ppck"
+        save_checkpoint(str(p), path_model(workdir, 3))
+        edit(p)
+        generate = [*GENERATE, str(workdir / "store.ppch"), "--checkpoint", str(p)]
+        assert main(generate if verb == "generate" else [verb, str(p)]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: data: {p}: {message}" in err
 
 
 class TestCountParams:
@@ -516,6 +565,29 @@ class TestConfigLoading:
         p.write_text(text)
         assert main(["count-params", "--config", str(p)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, code",
+        [("count-params", EXIT_CONFIG), ("analyze", EXIT_DATA), ("pretokenize", EXIT_DATA)],
+    )
+    def test_text_that_is_not_utf8_names_the_byte(self, workdir, tmp_path, capsys, verb, code):
+        bad = tmp_path / "bad.txt"
+        if verb == "count-params":
+            bad.write_bytes(b"model:\n  vocab_size: 10 \xff\n")
+            argv = ["--config", str(bad)]
+        elif verb == "analyze":
+            composite = tmp_path / "composite.ppck"
+            vocab = ChunkStore.load(str(workdir / "store.ppch")).tokenizer.vocab_size
+            target = model_config_from(load_config(str(workdir / "gumbel.yaml")), vocab_size=vocab)
+            save_checkpoint(str(composite), build(target, None))
+            bad.write_bytes(b"story\tOnce upon a time\nstory\tOnce \xff\n")
+            argv = ["--checkpoint", str(composite), "--data", str(workdir / "store.ppch"), "--prompts", str(bad)]
+        else:
+            bad.write_bytes(b"one two three\n" * 1000 + b"four \xff five\n")
+            argv = ["--corpus", f"story={bad}", "--out", str(tmp_path / "s.ppch")]
+        offset = bad.read_bytes().index(b"\xff")
+        assert main([verb, *argv]) == code
+        assert f"{bad}: not UTF-8 at byte {offset}" in capsys.readouterr().err
 
     def test_preset_loads_as_mapping(self):
         raw = load_config("base_256")

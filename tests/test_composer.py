@@ -122,6 +122,16 @@ class TestValidatePlan:
         conflicts = validate_plan(CompositionPlan([path_ckpts[0], p], target_config()))
         assert any("d_path" in c for c in conflicts)
 
+    @pytest.mark.parametrize("key, value, target_key, target_value", [("ff_layer", 48, "ff_path", 32),
+                                                                      ("heads_layer", 4, "heads_path", 2)])
+    def test_ffn_width_and_head_count_mismatch_named(self, tmp_path, path_ckpts, key, value, target_key, target_value):
+        # a reused path block computes what its source did only at the source's FFN width and head split
+        other = build(path_config(**{key: value}), RngState(8))
+        p = str(tmp_path / "other.ppck")
+        save_checkpoint(p, other)
+        conflicts = validate_plan(CompositionPlan([path_ckpts[0], p], target_config()))
+        assert conflicts == [f"path 2: {key}={value} != target {target_key}={target_value}"]
+
     def test_vocab_mismatch_named(self, tmp_path, path_ckpts):
         other = build(path_config(vocab_size=40), RngState(6))
         p = str(tmp_path / "othervocab.ppck")

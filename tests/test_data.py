@@ -396,6 +396,13 @@ class TestCorruptStore:
         with pytest.raises(DataError, match=f"header counts {count - 1} chunks, the provenance {count}"):
             ChunkStore.load(str(bad))
 
+    def test_token_id_outside_the_vocab_raises(self, saved, tmp_path):
+        bad = tmp_path / "oov.ppch"
+        end = saved.index(b'{"tokenizer"')  # the provenance JSON follows the last chunk's last token
+        bad.write_bytes(saved[: end - 4] + (10**6).to_bytes(4, "little") + saved[end:])
+        with pytest.raises(DataError, match=f"{bad}: token id 1000000 is outside the vocab of"):
+            ChunkStore.load(str(bad))
+
     def test_loaded_chunks_are_rows_of_one_writable_array(self, saved, tmp_path):
         path = tmp_path / "good.ppch"
         chunks = ChunkStore.load(str(path)).chunks

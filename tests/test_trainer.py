@@ -302,6 +302,8 @@ class TestResume:
         ckpt = load_checkpoint(str(tmp_path / "ep1.ppck"))
         state = state_from_checkpoint(ckpt)
         assert state.epochs_done == 1
+        for key, moment in state.opt.tensors().items():
+            assert np.shares_memory(moment, ckpt.opt_tensors[key]), key  # the loaded arrays, not copies
         resumed = train(ckpt.model, chunks, cfg, state=state)
 
         n_ep2 = len(resumed.steps)
@@ -482,6 +484,18 @@ class TestWorkers:
         assert threaded.losses == serial.losses
         assert threaded.consumed == serial.consumed
         assert threaded_bytes == serial_bytes
+
+    def test_more_micro_batches_than_workers_with_an_odd_remainder(self, store, tmp_path, monkeypatch):
+        # five micro-batches a step on two workers: more micro-batches than workers, and an odd one over
+        runs = []
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            model = build(small_model_config(store.tokenizer.vocab_size), RngState(0))
+            path = tmp_path / f"accum5-{workers}.ppck"
+            report = train(model, subset(store, 10), tiny_cfg(grad_accum_steps=5), checkpoint_path=str(path))
+            runs.append((report.losses, report.consumed, path.read_bytes()))
+        assert len(runs[0][0]) == 2
+        assert runs[1] == runs[0]
 
     def test_more_workers_than_cpus_under_fast_switching(self, store, tmp_path, monkeypatch):
         # four workers on at most two CPUs, switching threads every microsecond:
