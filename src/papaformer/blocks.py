@@ -113,16 +113,17 @@ def rmsnorm(x: Tensor, scale: Tensor, eps: float = RMSNORM_EPS) -> Tensor:
     backward pass is dx = (gs - x_hat * mean(gs * x_hat)) / r for gs = g * scale,
     and dscale = g * x_hat summed over the leading axes of x; scale is [d].
     """
-    rms = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1]) + eps)
-    x_hat = x.data / rms
+    xd, sd = x.data, scale.data
+    rms = np.sqrt((xd * xd).sum(axis=-1, keepdims=True) * (1.0 / xd.shape[-1]) + eps)
+    x_hat = xd / rms
 
     def bwd(g):
-        gs = g * scale.data
+        gs = g * sd
         dx = gs - x_hat * (gs * x_hat).mean(axis=-1, keepdims=True)
         dx /= rms
-        return ((x, dx), (scale, (g * x_hat).reshape(-1, x.shape[-1]).sum(axis=0)))
+        return dx, (g * x_hat).reshape(-1, x_hat.shape[-1]).sum(axis=0)
 
-    return Tensor(x_hat * scale.data, _parents=(x, scale), _backward=bwd)
+    return Tensor(x_hat * sd, _parents=(x, scale), _backward=bwd)
 
 
 _ROPE_TABLES = {}  # head_dim -> float32 cos/sin of pos * theta_j for pos in 0..n-1
@@ -154,16 +155,16 @@ def rope(x: Tensor, positions: np.ndarray) -> Tensor:
 
     One tape node; its backward pass rotates the gradient pairs by -theta.
     """
-    head_dim = x.shape[-1]
-    cos, sin = rope_tables(positions, head_dim)
-    pair_shape = (*x.shape[:-1], head_dim // 2, 2)
+    shape = x.data.shape
+    cos, sin = rope_tables(positions, shape[-1])
+    pair_shape = (*shape[:-1], shape[-1] // 2, 2)
 
     def rotate(arr: np.ndarray, sin: np.ndarray) -> np.ndarray:
         pairs = arr.reshape(pair_shape)
         even, odd = pairs[..., 0:1], pairs[..., 1:2]
-        return np.concatenate([even * cos - odd * sin, even * sin + odd * cos], axis=-1).reshape(x.shape)
+        return np.concatenate([even * cos - odd * sin, even * sin + odd * cos], axis=-1).reshape(shape)
 
-    return Tensor(rotate(x.data, sin), _parents=(x,), _backward=lambda g: ((x, rotate(g, -sin)),))
+    return Tensor(rotate(x.data, sin), _parents=(x,), _backward=lambda g: (rotate(g, -sin),))
 
 
 def causal_mask(t: int, s: int) -> np.ndarray:
@@ -207,7 +208,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, kv: tuple | None = None) -
     ``k`` and ``v`` are the last rows. Either way ``k`` and ``v`` may carry
     more rows than ``q``, and the gradients reach exactly the rows they carry.
     """
-    b, t, heads, head_dim = q.shape
+    b, t, heads, head_dim = q.data.shape
+    k_rows, v_rows = k.data.shape[1], v.data.shape[1]
     qh = q.data.transpose(0, 2, 1, 3)
     kh, vh = kv if kv is not None else (z.data.transpose(0, 2, 1, 3) for z in (k, v))
     s = kh.shape[-2]
@@ -238,8 +240,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, kv: tuple | None = None) -
                 dk[..., :end, :] += tile_dk
                 dv[..., :end, :] += tile_dv
         dq = dq[0] if len(dq) == 1 else np.concatenate(dq[::-1], axis=-2)
-        grads = ((q, dq), (k, dk[..., -k.shape[1] :, :]), (v, dv[..., -v.shape[1] :, :]))
-        return tuple((z, dz.transpose(0, 2, 1, 3)) for z, dz in grads)
+        return tuple(dz.transpose(0, 2, 1, 3) for dz in (dq, dk[..., -k_rows:, :], dv[..., -v_rows:, :]))
 
     return Tensor(out, _parents=(q, k, v), _backward=bwd)
 

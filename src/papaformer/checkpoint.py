@@ -38,7 +38,7 @@ class Checkpoint:
     provenance: dict  # tensor name -> reused/concatenated/fresh/trained
     train_config: dict | None = None
     rng: RngState | None = None
-    opt_tensors: dict = field(default_factory=dict)  # name -> np.ndarray
+    opt_tensors: dict = field(default_factory=dict)  # name -> np.ndarray; read only by load_checkpoint(moments=True)
     extra: dict = field(default_factory=dict)
 
 
@@ -81,7 +81,8 @@ def save_checkpoint(
 def _read_manifest(f, path: str) -> dict:
     """The JSON manifest after the header at ``f``'s position, once the rest of the file is the payload it lists."""
     (_, _, mlen), left = read_header(f, path, _HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError)
-    manifest = json.loads(f.read(mlen).decode("utf-8"))
+    # a length past the end of the file reads only what the file holds, so it cannot ask for terabytes
+    manifest = json.loads(f.read(min(mlen, left)).decode("utf-8"))
     end = 0
     for e in manifest["tensors"]:
         if e["offset"] != end:
@@ -99,8 +100,14 @@ def read_manifest(path: str) -> dict:
         return _read_manifest(f, path)
 
 
-def load_checkpoint(path: str) -> Checkpoint:
-    """Read each tensor straight into its own array, in manifest order: every payload byte is copied once."""
+def load_checkpoint(path: str, moments: bool = False) -> Checkpoint:
+    """Read each tensor straight into its own array, in manifest order: every payload byte is copied once.
+
+    The optimizer moments, the ``opt.`` tensors that ``save_checkpoint`` writes
+    last, are read only with ``moments`` (a resume needs them); without it the
+    read stops where they begin and ``opt_tensors`` is empty. The manifest's
+    size checks still cover the whole file.
+    """
     # unbuffered, so each tensor's bytes go from the file into its array with no reader buffer between
     with open(path, "rb", buffering=0) as f:
         manifest = _read_manifest(f, path)
@@ -111,6 +118,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         for e in manifest["tensors"]:
             name, shape = e["name"], tuple(e["shape"])
             is_opt = name.startswith("opt.")
+            if is_opt and not moments:
+                break
             if not is_opt:
                 if name not in params:
                     raise CheckpointError(f"{path}: tensor {name!r} not present in model built from config")

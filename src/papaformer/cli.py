@@ -179,9 +179,8 @@ def cmd_train(args) -> int:
 
 def cmd_compose(args) -> int:
     raw = load_config(args.config)
-    vocab = read_manifest(args.paths[0])["model_config"]["vocab_size"]
-    target = model_config_from(raw, vocab_size=vocab)
-    plan = CompositionPlan(path_checkpoints=list(args.paths), target_config=target)
+    # the composite takes the paths' vocab, which validate_plan reads from their manifests
+    plan = CompositionPlan(list(args.paths), target_config=lambda vocab: model_config_from(raw, vocab_size=vocab))
     model = compose(plan, RngState(env_seed(args.seed)))
     provenance = composition_provenance(model)
     save_checkpoint(args.out, model, provenance=provenance)

@@ -11,6 +11,7 @@ blocks, final norm — is freshly initialized with the standard build policy.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ class CompositionError(ValueError):
 @dataclass
 class CompositionPlan:
     path_checkpoints: list  # checkpoint file paths, in path-slot order
-    target_config: ModelConfig
+    target_config: ModelConfig | Callable  # or a function of the paths' vocab size that makes it; see validate_plan
 
 
 def provenance_tag(name: str) -> str:
@@ -55,15 +56,13 @@ def weight_source(name: str, tag: str) -> str:
 
 
 def validate_plan(plan: CompositionPlan) -> list:
-    """Conflicts between the plan and its path manifests, touching no weights; empty when valid."""
+    """Conflicts between the plan and its path manifests, touching no weights; empty when valid.
+
+    A ``target_config`` given as a function is called with the vocab size the
+    paths' manifests agree on, and the plan keeps the config it returns, so a
+    caller whose target takes the data's vocab reads no manifest itself.
+    """
     conflicts = []
-    target = plan.target_config
-    if target.connection_kind == "none":
-        return ["target_config: connection_kind 'none' has no path slots"]
-    if len(plan.path_checkpoints) != target.k_paths:
-        conflicts.append(
-            f"path_checkpoints: got {len(plan.path_checkpoints)} checkpoints for k_paths={target.k_paths}"
-        )
     configs = []
     for i, path in enumerate(plan.path_checkpoints):
         try:
@@ -72,6 +71,19 @@ def validate_plan(plan: CompositionPlan) -> list:
             conflicts.append(f"path {i + 1}: unreadable checkpoint ({e})")
             configs.append(None)
     vocabs = {c.vocab_size for c in configs if c is not None}
+    if callable(plan.target_config):
+        if len(vocabs) != 1:
+            if len(vocabs) > 1 or not conflicts:
+                conflicts.append(f"vocab_size: paths {sorted(vocabs)} must all match")
+            return conflicts
+        plan.target_config = plan.target_config(vocabs.pop())
+    target = plan.target_config
+    if target.connection_kind == "none":
+        return ["target_config: connection_kind 'none' has no path slots"]
+    if len(plan.path_checkpoints) != target.k_paths:
+        conflicts.append(
+            f"path_checkpoints: got {len(plan.path_checkpoints)} checkpoints for k_paths={target.k_paths}"
+        )
     if len(vocabs) > 1 or (vocabs and vocabs != {target.vocab_size}):
         conflicts.append(
             f"vocab_size: paths {sorted(vocabs)} vs target {target.vocab_size} must all match"

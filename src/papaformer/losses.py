@@ -44,28 +44,31 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood through a stable log-sum-exp.
 
     ``logits`` is [..., vocab]; ``targets`` holds ids over the leading axes.
-    One tape node; its backward pass is (softmax - onehot) / n.
+    One tape node; its backward pass is (softmax - onehot) / n. The node holds
+    one [N, vocab] array and no reference to ``logits``.
     """
     targets = np.asarray(targets)
     vocab = logits.shape[-1]
     if targets.size and (targets.min() < 0 or targets.max() >= vocab):
         raise IndexError(f"target id out of range [0, {vocab})")
+    shape = logits.data.shape
     flat = logits.data.reshape(-1, vocab)
     rows = np.arange(flat.shape[0])
     ids = targets.reshape(-1)
     shifted = flat - flat.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    picked = shifted[rows, ids]
+    e = np.exp(shifted, out=shifted)  # the node's one [N, V] array
     sums = e.sum(axis=-1, keepdims=True)
-    nll = np.log(sums[:, 0]) - shifted[rows, ids]
-    a = logits
+    nll = np.log(sums[:, 0]) - picked
 
     def bwd(g):
-        grad = e / sums
+        grad = e  # the walk runs a closure once, so e turns into the gradient in place
+        grad /= sums
         grad[rows, ids] -= 1.0
         grad *= g / ids.size
-        return ((a, grad.reshape(a.shape)),)
+        return (grad.reshape(shape),)
 
-    return Tensor(nll.mean(), _parents=(a,), _backward=bwd)
+    return Tensor(nll.mean(), _parents=(logits,), _backward=bwd)
 
 
 def _entropy_of_rows(pi: Tensor) -> Tensor:

@@ -1,11 +1,15 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Every operation records a backward closure on a tape (the implicit graph of
-parent links). Calling ``backward()`` on a scalar loss walks the graph in
-reverse topological order, accumulates gradients into every leaf that has
-``requires_grad`` set, and frees each node's closure and parent links once it
-has run, so the graph can be walked once. Under ``no_grad()`` nothing is
-recorded: results keep their values and drop their parents and closures.
+Every recorded operation gives its result a graph node: the backward closure
+and one vertex per operand, which is the operand's own node, the operand
+itself when it is a leaf, or None for a constant. A closure captures only
+the arrays and shapes its backward reads, never a Tensor, and nothing in the
+graph points back at a result's value, so a value no backward reads is freed
+as soon as the forward drops it. Calling ``backward()`` on a scalar loss
+walks the nodes in reverse topological order, accumulates gradients into
+every leaf that has ``requires_grad`` set, and frees each node's closure and
+vertices once it has run, so the graph can be walked once. Under
+``no_grad()`` nothing is recorded: results keep their values and get no node.
 
 The tape computes in the dtype of its operands. Parameters and random draws
 are created in the default dtype, float32; ``set_default_dtype`` switches
@@ -42,7 +46,7 @@ _recording = True  # read only by Tensor.__init__; set by no_grad
 
 @contextmanager
 def no_grad():
-    """Record no tape inside the block: new Tensors keep no parents and no closure.
+    """Record no tape inside the block: new Tensors get no graph node.
 
     Ops still build their closures and hand them to ``Tensor.__init__``, which
     drops them here, so each op keeps one code path. ``requires_grad`` keeps
@@ -105,21 +109,34 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+class _Node:
+    """A recorded op's place in the graph: its backward closure and one vertex per operand.
+
+    A vertex is the operand's own node, the operand itself when it is a leaf
+    with ``requires_grad``, or None for a constant. ``backward(g)`` returns
+    one gradient per vertex, in operand order.
+    """
+
+    __slots__ = ("backward", "vertices")
+
+    def __init__(self, backward, vertices: tuple):
+        self.backward = backward
+        self.vertices = vertices
+
+
 class Tensor:
     """A dense n-d value participating in reverse-mode differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = _as_array(data)
         self.requires_grad = requires_grad
         self.grad = None
-        if _recording:
-            self._parents = _parents
-            self._backward = _backward
+        if _recording and _backward is not None:
+            self._node = _Node(_backward, tuple([p._node or (p if p.requires_grad else None) for p in _parents]))
         else:
-            self._parents = ()
-            self._backward = None
+            self._node = None
 
     # -- introspection ----------------------------------------------------
 
@@ -153,67 +170,71 @@ class Tensor:
         training. With a ``sink``, ``leaf.grad`` is not touched, so backward
         walks on other threads over graphs that share leaves write nothing
         shared.
-        Each node's closure and parent links are dropped as soon as it has run,
-        so the activations they hold are released during the walk; leaves are
+        Each node's closure and vertices are dropped as soon as it has run, so
+        the arrays its closure holds are released during the walk; leaves are
         untouched. A walked node keeps a closure that raises, so a later
         ``backward`` that reaches it, from the same root or another, raises
         RuntimeError instead of silently stopping there.
         """
         if self.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.shape}")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack = [(self, False)]
+        root = self._node or self
+        topo: list = []
+        seen: set = set()
+        stack = [(root, False)]
         while stack:
-            node, processed = stack.pop()
+            vertex, processed = stack.pop()
             if processed:
-                topo.append(node)
+                topo.append(vertex)
                 continue
-            if id(node) in seen:
+            if vertex in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
+            seen.add(vertex)
+            stack.append((vertex, True))
+            if type(vertex) is _Node:
+                for p in vertex.vertices:
+                    if p is not None and p not in seen:
+                        stack.append((p, False))
         walk = {} if sink is None else sink
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        grads = {root: np.ones_like(self.data)}
         while topo:
-            node = topo.pop()
-            g = grads.pop(id(node), None)
+            vertex = topo.pop()
+            g = grads.pop(vertex, None)
             if g is None:
                 continue
-            if node.requires_grad:
-                held = walk.get(node)
-                walk[node] = g.copy() if held is None else held + g
-            if node._backward is not None:
-                for parent, pg in node._backward(g):
-                    if parent.requires_grad or parent._backward is not None:
-                        acc = grads.get(id(parent))
-                        grads[id(parent)] = pg if acc is None else acc + pg
-                node._backward, node._parents = _walked, ()
+            if type(vertex) is _Node:
+                for p, pg in zip(vertex.vertices, vertex.backward(g), strict=True):
+                    if p is not None:
+                        acc = grads.get(p)
+                        grads[p] = pg if acc is None else acc + pg
+                vertex.backward, vertex.vertices = _walked, ()
+            elif vertex.requires_grad:
+                held = walk.get(vertex)
+                walk[vertex] = g.copy() if held is None else held + g
         if sink is None:
             add_grads(walk)
 
     # -- arithmetic -------------------------------------------------------
+    # Each closure captures only the arrays and shapes its backward reads, never
+    # a Tensor, so a value no backward reads dies with its Tensor. Shapes come
+    # from ``.data.shape``, a slot read: ops build their closures under no_grad too.
 
     def __add__(self, other) -> "Tensor":
-        a = self
+        a_shape = self.data.shape
         if not isinstance(other, Tensor):
-            out_data = a.data + _constant(other, a.data)
-            return Tensor(out_data, _parents=(a,), _backward=lambda g: ((a, _unbroadcast(g, a.shape)),))
-        b = other
+            out_data = self.data + _constant(other, self.data)
+            return Tensor(out_data, _parents=(self,), _backward=lambda g: (_unbroadcast(g, a_shape),))
+        b_shape = other.data.shape
 
         def bwd(g):
-            return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
+            return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-        return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
+        return Tensor(self.data + other.data, _parents=(self, other), _backward=bwd)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        a = self
-        return Tensor(-a.data, _parents=(a,), _backward=lambda g: ((a, -g),))
+        return Tensor(-self.data, _parents=(self,), _backward=lambda g: (-g,))
 
     def __sub__(self, other) -> "Tensor":
         if not isinstance(other, Tensor):
@@ -224,36 +245,32 @@ class Tensor:
         return (-self) + other
 
     def __mul__(self, other) -> "Tensor":
-        a = self
+        a = self.data
         if not isinstance(other, Tensor):
-            c = _constant(other, a.data)
-            return Tensor(a.data * c, _parents=(a,), _backward=lambda g: ((a, _unbroadcast(g * c, a.shape)),))
-        b = other
+            c = _constant(other, a)
+            a_shape = a.shape
+            return Tensor(a * c, _parents=(self,), _backward=lambda g: (_unbroadcast(g * c, a_shape),))
+        b = other.data
 
         def bwd(g):
-            return (
-                (a, _unbroadcast(g * b.data, a.shape)),
-                (b, _unbroadcast(g * a.data, b.shape)),
-            )
+            return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
 
-        return Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
+        return Tensor(a * b, _parents=(self, other), _backward=bwd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        a = self
+        a = self.data
         if not isinstance(other, Tensor):
-            c = _constant(other, a.data)
-            return Tensor(a.data / c, _parents=(a,), _backward=lambda g: ((a, _unbroadcast(g / c, a.shape)),))
-        b = other
+            c = _constant(other, a)
+            a_shape = a.shape
+            return Tensor(a / c, _parents=(self,), _backward=lambda g: (_unbroadcast(g / c, a_shape),))
+        b = other.data
 
         def bwd(g):
-            return (
-                (a, _unbroadcast(g / b.data, a.shape)),
-                (b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
-            )
+            return _unbroadcast(g / b, a.shape), _unbroadcast(-g * a / (b * b), b.shape)
 
-        return Tensor(a.data / b.data, _parents=(a, b), _backward=bwd)
+        return Tensor(a / b, _parents=(self, other), _backward=bwd)
 
     def matmul(self, other: "Tensor") -> "Tensor":
         """[..., d] @ [d, e]: one flat GEMM over the rows of ``self``, forward and backward.
@@ -262,33 +279,33 @@ class Tensor:
         axis of ``self``; any other raises ShapeError.
         """
         other = other if isinstance(other, Tensor) else Tensor(other)
-        a, b = self, other
+        a, b = self.data, other.data
         if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
             raise ShapeError(f"matmul needs [..., d] @ [d, e], got {a.shape} @ {b.shape}")
-        a2 = a.data.reshape(-1, a.shape[-1])
+        a_shape = a.shape
+        a2 = a.reshape(-1, a_shape[-1])
 
         def bwd(g):
             g2 = g.reshape(-1, b.shape[1])
-            return ((a, (g2 @ b.data.T).reshape(a.shape)), (b, a2.T @ g2))
+            return (g2 @ b.T).reshape(a_shape), a2.T @ g2
 
-        out = (a2 @ b.data).reshape(*a.shape[:-1], b.shape[1])
-        return Tensor(out, _parents=(a, b), _backward=bwd)
+        out = (a2 @ b).reshape(*a_shape[:-1], b.shape[1])
+        return Tensor(out, _parents=(self, other), _backward=bwd)
 
     __matmul__ = matmul
 
     # -- reductions -------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        out_data = a.data.sum(axis=axis, keepdims=keepdims)
+        a_shape, a_dtype = self.data.shape, self.data.dtype
 
         def bwd(g):
             g = np.asarray(g)
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return ((a, np.broadcast_to(g, a.shape).astype(a.data.dtype)),)
+            return (np.broadcast_to(g, a_shape).astype(a_dtype),)
 
-        return Tensor(out_data, _parents=(a,), _backward=bwd)
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,), _backward=bwd)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -303,98 +320,77 @@ class Tensor:
     # -- elementwise ------------------------------------------------------
 
     def sqrt(self) -> "Tensor":
-        a = self
-        out_data = np.sqrt(a.data)
-        return Tensor(out_data, _parents=(a,), _backward=lambda g: ((a, g * 0.5 / out_data),))
+        out_data = np.sqrt(self.data)
+        return Tensor(out_data, _parents=(self,), _backward=lambda g: (g * 0.5 / out_data,))
 
     def log(self) -> "Tensor":
-        a = self
-        return Tensor(np.log(a.data), _parents=(a,), _backward=lambda g: ((a, g / a.data),))
+        a = self.data
+        return Tensor(np.log(a), _parents=(self,), _backward=lambda g: (g / a,))
 
     def exp(self) -> "Tensor":
-        a = self
-        out_data = np.exp(a.data)
-        return Tensor(out_data, _parents=(a,), _backward=lambda g: ((a, g * out_data),))
+        out_data = np.exp(self.data)
+        return Tensor(out_data, _parents=(self,), _backward=lambda g: (g * out_data,))
 
     def silu(self) -> "Tensor":
         """x * sigmoid(x)."""
-        a = self
-        sig = 1.0 / (1.0 + np.exp(-a.data))
-        out_data = a.data * sig
-
-        def bwd(g):
-            return ((a, g * (sig * (1.0 + a.data * (1.0 - sig)))),)
-
-        return Tensor(out_data, _parents=(a,), _backward=bwd)
+        a = self.data
+        sig = 1.0 / (1.0 + np.exp(-a))
+        return Tensor(a * sig, _parents=(self,), _backward=lambda g: (g * (sig * (1.0 + a * (1.0 - sig))),))
 
     def maximum(self, other) -> "Tensor":
         """Elementwise max; ties send the full gradient to self."""
         other = other if isinstance(other, Tensor) else Tensor(_constant(other, self.data))
-        a, b = self, other
-        take_a = a.data >= b.data
-        out_data = np.where(take_a, a.data, b.data)
+        a, b = self.data, other.data
+        a_shape, b_shape = a.shape, b.shape
+        take_a = a >= b
 
         def bwd(g):
-            return (
-                (a, _unbroadcast(np.where(take_a, g, 0.0), a.shape)),
-                (b, _unbroadcast(np.where(take_a, 0.0, g), b.shape)),
-            )
+            return _unbroadcast(np.where(take_a, g, 0.0), a_shape), _unbroadcast(np.where(take_a, 0.0, g), b_shape)
 
-        return Tensor(out_data, _parents=(a, b), _backward=bwd)
+        return Tensor(np.where(take_a, a, b), _parents=(self, other), _backward=bwd)
 
     def softmax(self, axis: int = -1) -> "Tensor":
         """Max-subtracted stable softmax along ``axis``."""
-        a = self
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
+        shifted = self.data - self.data.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
         out_data = e / e.sum(axis=axis, keepdims=True)
 
         def bwd(g):
             dot = (g * out_data).sum(axis=axis, keepdims=True)
-            return ((a, out_data * (g - dot)),)
+            return (out_data * (g - dot),)
 
-        return Tensor(out_data, _parents=(a,), _backward=bwd)
+        return Tensor(out_data, _parents=(self,), _backward=bwd)
 
     # -- shape manipulation ----------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        orig = a.shape
-        return Tensor(
-            a.data.reshape(shape),
-            _parents=(a,),
-            _backward=lambda g: ((a, g.reshape(orig)),),
-        )
+        orig = self.data.shape
+        return Tensor(self.data.reshape(shape), _parents=(self,), _backward=lambda g: (g.reshape(orig),))
 
     def transpose(self, *axes) -> "Tensor":
-        a = self
         if not axes:
-            axes = tuple(reversed(range(a.ndim)))
+            axes = tuple(reversed(range(self.data.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inv = np.argsort(axes)
-        return Tensor(
-            a.data.transpose(axes),
-            _parents=(a,),
-            _backward=lambda g: ((a, g.transpose(inv)),),
-        )
+        return Tensor(self.data.transpose(axes), _parents=(self,), _backward=lambda g: (g.transpose(inv),))
 
     def __getitem__(self, key) -> "Tensor":
         """Indexing; basic keys backpropagate by assignment, advanced keys by scatter-add."""
-        a = self
+        a_shape, a_dtype = self.data.shape, self.data.dtype
         basic = _is_basic(key)
 
         def bwd(g):
-            full = np.zeros_like(a.data)
+            full = np.zeros(a_shape, a_dtype)
             if basic:
                 full[key] = g
             else:
                 np.add.at(full, key, g)  # advanced indices may repeat
-            return ((a, full),)
+            return (full,)
 
-        return Tensor(a.data[key], _parents=(a,), _backward=bwd)
+        return Tensor(self.data[key], _parents=(self,), _backward=bwd)
 
 
 def add_grads(sink: dict) -> None:
@@ -424,13 +420,12 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
         ):
             raise ShapeError(f"concat shape mismatch: {[t.shape for t in tensors]}")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-
-    def bwd(g):
-        pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-        return tuple(zip(tensors, pieces))
-
-    return Tensor(out_data, _parents=tuple(tensors), _backward=bwd)
+    sizes = [t.data.shape[axis] for t in tensors]
+    return Tensor(
+        out_data,
+        _parents=tuple(tensors),
+        _backward=lambda g: tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis)),
+    )
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -438,14 +433,14 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError(f"token id out of range [0, {table.shape[0]})")
-    a = table
+    t_shape, t_dtype = table.data.shape, table.data.dtype
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(t_shape, t_dtype)
         np.add.at(full, ids, g)
-        return ((a, full),)
+        return (full,)
 
-    return Tensor(a.data[ids], _parents=(a,), _backward=bwd)
+    return Tensor(table.data[ids], _parents=(table,), _backward=bwd)
 
 
 def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:

@@ -200,6 +200,7 @@ def _micro_step(model: PaPaformerModel, batch: list, rng: RngState, cfg: TrainCo
     x, y = tokens[:, :-1], tokens[:, 1:]
     logits, records = forward(model, x, rng=rng, training=True)
     ce = cross_entropy(logits, y)
+    del logits  # no backward reads the [N, V] logits, so they go before the walk
     breakdown = total_loss(ce, records, cfg.lambda_entropy, cfg.lambda_load, cfg.sign_entropy, cfg.sign_load)
     if not np.isfinite(breakdown.total.data):
         raise NonFiniteError(f"non-finite loss at step {step}; last-good checkpoint retained")

@@ -490,7 +490,7 @@ def test_9_determinism_persistence(smoke, tmp_path):
     with criterion(9, "determinism and persistence"):
         # checkpoint save -> load -> save is byte-identical
         src = smoke["artifacts"]["parallel_gumbel_v1"]
-        ckpt = load_checkpoint(src)
+        ckpt = load_checkpoint(src, moments=True)
         resaved = str(tmp_path / "resaved.ppck")
         save_checkpoint(
             resaved,
@@ -513,7 +513,7 @@ def test_9_determinism_persistence(smoke, tmp_path):
         )
         model_a = build(smoke_model_config(vocab, "gumbel_v1", 2), RngState(0))
         full = train(model_a, chunks, cfg, checkpoint_path=str(tmp_path / "ep{epoch}.ppck"))
-        mid = load_checkpoint(str(tmp_path / "ep1.ppck"))
+        mid = load_checkpoint(str(tmp_path / "ep1.ppck"), moments=True)
         resumed = train(mid.model, chunks, cfg, state=state_from_checkpoint(mid))
         assert resumed.losses == full.losses[-len(resumed.steps) :]
         for name, p in model_a.named_params().items():

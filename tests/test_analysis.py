@@ -426,7 +426,7 @@ class TestNoTape:
 
         def counting_init(self, *args, **kwargs):
             real_init(self, *args, **kwargs)
-            closures.append(self._backward is not None)
+            closures.append(self._node is not None)
 
         monkeypatch.setattr(Tensor, "__init__", counting_init)
         with warnings.catch_warnings():

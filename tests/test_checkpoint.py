@@ -22,6 +22,7 @@ from papaformer import checkpoint, composer
 from papaformer.composer import composition_provenance
 from papaformer.model import CONNECTION_KINDS, ModelConfig, build
 from papaformer.tensor import RngState, default_dtype, set_default_dtype
+from test_composer import path_config, target_config
 
 
 def small_config(**overrides):
@@ -83,7 +84,7 @@ class TestRoundTrip:
         p = str(tmp_path / "e.ppck")
         opt = {"m.embed": np.arange(6, dtype=np.float32).reshape(2, 3)}
         save_checkpoint(p, model, opt_tensors=opt)
-        ckpt = load_checkpoint(p)
+        ckpt = load_checkpoint(p, moments=True)
         assert np.array_equal(ckpt.opt_tensors["m.embed"], opt["m.embed"])
 
     def test_provenance_round_trip_and_default(self, model, tmp_path):
@@ -169,6 +170,16 @@ class TestErrors:
             load_checkpoint(str(p))
         with pytest.raises(CheckpointError):
             read_manifest(str(p))
+
+    def test_manifest_length_past_the_end_reads_only_the_file(self, model, tmp_path):
+        p = tmp_path / "long-manifest.ppck"
+        save_checkpoint(str(p), model)
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<Q", raw, 8, 17_000_000_000_000)  # the manifest length field, about 1.7e13
+        p.write_bytes(bytes(raw))
+        for read in (load_checkpoint, read_manifest):
+            with pytest.raises(ValueError):  # the manifest does not decode; no MemoryError
+                read(str(p))
 
     def test_bad_version(self, model, tmp_path):
         p = str(tmp_path / "v.ppck")
@@ -285,7 +296,7 @@ class TestLoad:
         with tempfile.TemporaryDirectory() as d:
             p1, p2 = str(Path(d) / "a.ppck"), str(Path(d) / "b.ppck")
             save_checkpoint(p1, model, rng=RngState(seed, 3), opt_tensors=opt, extra={"step": seed})
-            ck = load_checkpoint(p1)
+            ck = load_checkpoint(p1, moments=True)
             assert sorted(ck.opt_tensors) == sorted(opt or {})
             save_checkpoint(p2, ck.model, provenance=ck.provenance, rng=ck.rng, opt_tensors=ck.opt_tensors,
                             extra=ck.extra)
@@ -328,11 +339,47 @@ class TestLoad:
             load_checkpoint(p)
 
 
+@pytest.fixture
+def reads(monkeypatch) -> list:
+    """What each tensor read of ``load_checkpoint`` names, in order."""
+    names = []
+    read_into = checkpoint.read_into
+
+    def recording(f, arr, path, what, error):
+        names.append(what)
+        read_into(f, arr, path, what, error)
+
+    monkeypatch.setattr(checkpoint, "read_into", recording)
+    return names
+
+
+class TestMoments:
+    def test_read_only_when_asked(self, model, tmp_path, reads):
+        p = str(tmp_path / "m.ppck")
+        opt = moments(model, 0)
+        save_checkpoint(p, model, opt_tensors=opt)
+        plain = load_checkpoint(p)
+        assert plain.opt_tensors == {} and reads and not any("'opt." in what for what in reads)
+        full = load_checkpoint(p, moments=True)
+        assert sorted(full.opt_tensors) == sorted(opt)
+        for name, t in plain.model.named_params().items():
+            assert t.data.tobytes() == full.model.named_params()[name].data.tobytes(), name
+
+    def test_compose_reads_no_moments(self, tmp_path, reads):
+        paths = []
+        for i in (1, 2):
+            path = build(path_config(), RngState(i))
+            paths.append(str(tmp_path / f"p{i}.ppck"))
+            save_checkpoint(paths[-1], path, opt_tensors=moments(path, i))
+        composer.compose(composer.CompositionPlan(paths, target_config()), RngState(0))
+        assert reads and not any("'opt." in what for what in reads)
+
+
 class TestLoadedArraysOwnTheirMemory:
     def test_params_and_moments_are_separate_writable_arrays(self, model, tmp_path):
         p = str(tmp_path / "own.ppck")
         save_checkpoint(p, model, opt_tensors=moments(model, 0))
-        ck = load_checkpoint(p)
+        ck = load_checkpoint(p, moments=True)
         params = [t.data for t in ck.model.named_params().values()]
         for a in params:
             assert a.flags.c_contiguous and a.flags.writeable and a.dtype == default_dtype()

@@ -342,6 +342,17 @@ class TestCompose:
         assert rc == EXIT_CONFIG
         assert "does not match" in capsys.readouterr().err
 
+    def test_unreadable_path_checkpoint_exits_composition_in_any_position(self, workdir, capsys):
+        bad = workdir / "nope.ppck"
+        bad.write_bytes(b"NOPE" + b"\x00" * 64)
+        good = str(workdir / "path1.ppck")
+        for i, paths in enumerate(([str(bad), good], [good, str(bad)]), start=1):
+            out = workdir / f"nope-composite{i}.ppck"
+            argv = ["compose", *paths, "--config", str(workdir / "gumbel.yaml"), "--out", str(out)]
+            assert main(argv) == EXIT_COMPOSITION
+            assert f"path {i}: unreadable checkpoint" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_wrong_checkpoint_count(self, workdir, capsys):
         rc = main([
             "compose", str(workdir / "path1.ppck"),

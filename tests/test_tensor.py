@@ -189,8 +189,9 @@ class TestBackward:
         h = x * 3.0
         loss = (h * h).sum()
         loss.backward()
-        assert h._parents == () and loss._parents == ()
-        assert x._parents == () and x._backward is None and x.requires_grad
+        assert h._node.vertices == () and loss._node.vertices == ()
+        assert h._node.backward is T._walked and loss._node.backward is T._walked
+        assert x._node is None and x.requires_grad
         np.testing.assert_array_equal(h.data, [3.0, 6.0])
 
     def test_composite_matmul_softmax_ce(self):
@@ -213,11 +214,11 @@ class TestNoGrad:
         with T.no_grad():
             y = (x * x).sum()
             leaf = Tensor([0.5], requires_grad=True)
-        assert y._parents == () and y._backward is None
+        assert y._node is None and leaf._node is None
         assert leaf.requires_grad and x.requires_grad
         assert y.data == 5.0
         z = x * x
-        assert z._parents == (x, x) and z._backward is not None
+        assert z._node.vertices == (x, x) and z._node.backward is not None
 
     def test_values_match_recorded_forward(self):
         rng = np.random.default_rng(8)
@@ -232,15 +233,15 @@ class TestNoGrad:
         with T.no_grad():
             with T.no_grad():
                 pass
-            assert (x * x)._backward is None
-        assert (x * x)._backward is not None
+            assert (x * x)._node is None
+        assert (x * x)._node is not None
 
     def test_flag_restored_after_exception(self):
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(KeyError):
             with T.no_grad():
                 raise KeyError("boom")
-        assert (x * x)._parents == (x, x)
+        assert (x * x)._node.vertices == (x, x)
 
 
 class TestGumbel:

@@ -299,7 +299,7 @@ class TestResume:
         full = train(model_a, chunks, cfg, checkpoint_path=str(tmp_path / "ep{epoch}.ppck"))
         assert len(full.checkpoints) == 2
 
-        ckpt = load_checkpoint(str(tmp_path / "ep1.ppck"))
+        ckpt = load_checkpoint(str(tmp_path / "ep1.ppck"), moments=True)
         state = state_from_checkpoint(ckpt)
         assert state.epochs_done == 1
         for key, moment in state.opt.tensors().items():
@@ -319,7 +319,7 @@ class TestResume:
         full = train(model, chunks, cfg, checkpoint_path=str(tmp_path / "ep{epoch}.ppck"))
         assert full.checkpoints == [str(tmp_path / "ep1.ppck"), str(tmp_path / "ep2.ppck")]
         assert len(full.steps) == 3
-        first, last = (load_checkpoint(p) for p in full.checkpoints)
+        first, last = (load_checkpoint(p, moments=True) for p in full.checkpoints)
         assert (first.extra["global_step"], first.extra["epochs_done"]) == (2, 1)
         assert (last.extra["global_step"], last.extra["epochs_done"]) == (3, 2)
 
@@ -344,7 +344,7 @@ class TestResume:
         cfg = tiny_cfg()
         model = build(small_model_config(store.tokenizer.vocab_size), RngState(0))
         train(model, subset(store, 8), cfg, checkpoint_path=str(tmp_path / "last.ppck"))
-        ckpt = load_checkpoint(str(tmp_path / "last.ppck"))
+        ckpt = load_checkpoint(str(tmp_path / "last.ppck"), moments=True)
         for name, p in model.named_params().items():
             assert np.array_equal(p.data, ckpt.model.named_params()[name].data)
         assert ckpt.extra["epochs_done"] == 2
