@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from papaformer.tensor import RngState, Tensor, default_dtype
+from papaformer.tensor import RngState, ShapeError, Tensor, default_dtype, sigmoid, silu_slope
 
 RMSNORM_EPS = 1e-5
 ROPE_BASE = 10000.0
@@ -46,11 +46,16 @@ def read_config(cls, d, prefix: str = ""):
         if value != accepted or isinstance(value, bool) != isinstance(accepted, bool):
             raise ConfigError(f"{prefix}{key}: retired; only {json.dumps(accepted)} is accepted, got {value!r}")
     d = {k: v for k, v in d.items() if k not in retired}
-    unknown = sorted(prefix + k for k in set(d) - set(cls.__dataclass_fields__))
+    fields = cls.__dataclass_fields__
+    unknown = sorted(prefix + k for k in set(d) - set(fields))
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
+    required = [k for k, f in fields.items() if f.default is MISSING and f.default_factory is MISSING]
+    missing = sorted(prefix + k for k in set(required) - set(d))
+    if missing:
+        raise ConfigError(f"missing config keys: {missing}")
     for key, value in d.items():
-        kind, _, optional = cls.__dataclass_fields__[key].type.partition(" | ")
+        kind, _, optional = fields[key].type.partition(" | ")
         if kind not in _SCALAR_TYPES or (optional and value is None):
             continue
         if not isinstance(value, _SCALAR_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
@@ -320,9 +325,36 @@ def causal_mha(
     return causal_attention(q, k, v, kv) @ params.wo
 
 
+def swiglu_gate(a: Tensor, b: Tensor) -> Tensor:
+    """silu(a) * b, the gate of the SwiGLU feed-forward (Shazeer 2020), for a and b of one shape.
+
+    One tape node that keeps only a and b: the backward pass recomputes
+    sigmoid(a) and silu(a) from a instead of keeping them (the recomputation
+    of Chen et al. 2016). The float ops and their order are those of
+    ``a.silu() * b``, so for operands of one dtype the output and both
+    gradients are the same bits; operands of two dtypes compute in the wider.
+    """
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"swiglu_gate needs operands of one shape, got {a.data.shape} and {b.data.shape}")
+    dtype = np.result_type(a.data, b.data)
+    ad, bd = a.data.astype(dtype, copy=False), b.data.astype(dtype, copy=False)
+    h = sigmoid(ad)
+    h *= ad
+    h *= bd
+
+    def bwd(g):
+        sig = sigmoid(ad)
+        da = g * bd
+        da *= silu_slope(ad, sig)
+        sig *= ad
+        return da, g * sig
+
+    return Tensor(h, _parents=(a, b), _backward=bwd)
+
+
 def swiglu_ffn(x: Tensor, params: LayerBlockParams) -> Tensor:
     """w_down @ (silu(w_gate x) * (w_up x))."""
-    return ((x @ params.w_gate).silu() * (x @ params.w_up)) @ params.w_down
+    return swiglu_gate(x @ params.w_gate, x @ params.w_up) @ params.w_down
 
 
 def layer_block(

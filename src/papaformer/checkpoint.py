@@ -79,17 +79,36 @@ def save_checkpoint(
 
 
 def _read_manifest(f, path: str) -> dict:
-    """The JSON manifest after the header at ``f``'s position, once the rest of the file is the payload it lists."""
+    """The JSON manifest after the header at ``f``'s position, once the rest of the file is the payload it lists.
+
+    One walk checks every key and type a reader indexes and that the payload
+    the entries list fills the file; a fault raises CheckpointError naming the
+    file. The model config's values are ``ModelConfig``'s to check.
+    """
     (_, _, mlen), left = read_header(f, path, _HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError)
     # a length past the end of the file reads only what the file holds, so it cannot ask for terabytes
     manifest = json.loads(f.read(min(mlen, left)).decode("utf-8"))
-    end = 0
-    for e in manifest["tensors"]:
-        if e["offset"] != end:
-            raise CheckpointError(f"{path}: tensor {e['name']!r} at payload offset {e['offset']}, expected {end}")
-        end += 4 * math.prod(e["shape"])
-        if mlen + end > left:
-            raise CheckpointError(f"{path}: payload ends inside tensor {e['name']!r} ({left - mlen} < {end} bytes)")
+    begun = end = 0  # entries the walk has begun, and the payload bytes they list
+    try:
+        rng = manifest.get("rng") or {"seed": 0, "position": 0}
+        top = manifest["format_version"], rng["seed"], rng["position"], manifest["model_config"]
+        if [type(v) for v in top] != [int, int, int, dict] or type(manifest.get("extra", {})) is not dict:
+            raise TypeError("expected integer format_version, rng seed and position, and mappings")
+        if type(manifest["tensors"]) is not list:
+            raise TypeError("expected a list of tensor entries")
+        for begun, e in enumerate(manifest["tensors"], start=1):
+            name, shape, offset, _ = e["name"], e["shape"], e["offset"], e["provenance"]
+            if offset != end:
+                raise CheckpointError(f"{path}: tensor {name!r} at payload offset {offset}, expected {end}")
+            n = math.prod(shape)
+            if type(n) is not int or type(name) is not str or type(shape) is not list or shape and min(shape) < 0:
+                raise TypeError(f"name {name!r} or shape {shape!r}: expected a string and a list of sizes")
+            end += 4 * n
+            if mlen + end > left:
+                raise CheckpointError(f"{path}: payload ends inside tensor {name!r} ({left - mlen} < {end} bytes)")
+    except (AttributeError, KeyError, TypeError) as err:  # a JSON value of the wrong kind
+        where = f"tensor entry {begun - 1}" if begun else "manifest"
+        raise CheckpointError(f"{path}: malformed {where} ({type(err).__name__}: {err})") from None
     if mlen + end != left:
         raise CheckpointError(f"{path}: the file runs {left - mlen - end} bytes past the {end}-byte payload")
     return manifest

@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import math
 import os
 import sys
 from collections import Counter
 
-import numpy as np
 import yaml
 
 from papaformer.analysis import (
@@ -253,14 +253,14 @@ def cmd_count_params(args) -> int:
 
 def cmd_inspect_checkpoint(args) -> int:
     manifest = read_manifest(args.checkpoint)
-    cfg = manifest["model_config"]
+    cfg = manifest["model_config"]  # a mapping; its keys are ModelConfig's to check, which inspecting skips
     print(f"format version {manifest['format_version']}")
-    print(f"model: d_model={cfg['d_model']} connection={cfg['connection_kind']} vocab={cfg['vocab_size']}")
+    print(f"model: d_model={cfg.get('d_model')} connection={cfg.get('connection_kind')} vocab={cfg.get('vocab_size')}")
     if manifest.get("rng"):
         print(f"rng: seed={manifest['rng']['seed']} position={manifest['rng']['position']}")
     total = 0
     for e in manifest["tensors"]:
-        n = int(np.prod(e["shape"])) if e["shape"] else 1
+        n = math.prod(e["shape"])
         total += n
         print(f"{n:>12,}  {e['name']} {tuple(e['shape'])} [{e['provenance']}]")
     print(f"{total:>12,}  total scalars")

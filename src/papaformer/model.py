@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -41,6 +42,8 @@ CONNECTION_KINDS = ("none", "share_linear", "gumbel_v1", "gumbel_v2")
 _LEAST_SIZES = dict.fromkeys(
     ("vocab_size", "d_model", "d_path", "heads_layer", "heads_path", "ff_layer", "ff_path", "max_seq_len"), 1
 ) | {"n_layer_blocks": 0, "n_parallel_layers": 0}
+# largest allowed value of each: a weight is a matrix of two sizes, and its element count must fit an array index
+_MOST_SIZE = math.isqrt(np.iinfo(np.intp).max)
 
 
 @dataclass
@@ -65,8 +68,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for key, least in _LEAST_SIZES.items():
-            if getattr(self, key) < least:
-                raise ConfigError(f"{key}: must be at least {least}, got {getattr(self, key)}")
+            if not least <= getattr(self, key) <= _MOST_SIZE:
+                raise ConfigError(f"{key}: must be from {least} to {_MOST_SIZE}, got {getattr(self, key)}")
         if self.connection_kind not in CONNECTION_KINDS:
             raise ConfigError(f"connection_kind: unknown value {self.connection_kind!r}")
         if self.connection_kind == "none" and self.n_parallel_layers != 0:

@@ -332,10 +332,11 @@ class Tensor:
         return Tensor(out_data, _parents=(self,), _backward=lambda g: (g * out_data,))
 
     def silu(self) -> "Tensor":
-        """x * sigmoid(x)."""
+        """x * sigmoid(x); the node keeps only x and recomputes the sigmoid in backward."""
         a = self.data
-        sig = 1.0 / (1.0 + np.exp(-a))
-        return Tensor(a * sig, _parents=(self,), _backward=lambda g: (g * (sig * (1.0 + a * (1.0 - sig))),))
+        out = sigmoid(a)
+        out *= a
+        return Tensor(out, _parents=(self,), _backward=lambda g: (g * silu_slope(a, sigmoid(a)),))
 
     def maximum(self, other) -> "Tensor":
         """Elementwise max; ties send the full gradient to self."""
@@ -397,6 +398,23 @@ def add_grads(sink: dict) -> None:
     """Add each leaf's gradient in ``sink`` into its ``.grad``, in the sink's order."""
     for leaf, g in sink.items():
         leaf.grad = g if leaf.grad is None else leaf.grad + g
+
+
+def sigmoid(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)), computed in one new array."""
+    s = np.negative(a)
+    np.exp(s, out=s)
+    s += 1
+    return np.divide(1, s, out=s)
+
+
+def silu_slope(a: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """d silu(a) / da = sig * (1 + a * (1 - sig)) for ``sig`` = sigmoid(a), in one new array."""
+    d = 1.0 - sig
+    d *= a
+    d += 1.0
+    d *= sig
+    return d
 
 
 def _walked(g):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from papaformer import blocks
 from papaformer import tensor as T
-from papaformer.blocks import LayerBlockParams, causal_mha, layer_block, rmsnorm, rope, swiglu_ffn
+from papaformer.blocks import LayerBlockParams, causal_mha, layer_block, rmsnorm, rope, swiglu_ffn, swiglu_gate
 from papaformer.tensor import RngState, Tensor
 
 from fdcheck import check_grad
@@ -435,6 +436,51 @@ class TestSwiglu:
         p = make_params()
         rng = np.random.default_rng(8)
         check_grad(lambda x: (swiglu_ffn(x, p) * swiglu_ffn(x, p)).sum(), rng.random((1, 3, 8)) * 2 - 1)
+
+    @pytest.mark.parametrize("wrt", ["a", "b"])
+    def test_gate_grad_float64(self, wrt, float64):
+        rng = np.random.default_rng(22)
+        a0, b0 = rng.normal(size=(2, 3, 6)) * 3, rng.normal(size=(2, 3, 6))
+        probe = Tensor(rng.normal(size=(2, 3, 6)))
+        if wrt == "a":
+            check_grad(lambda a: (swiglu_gate(a, Tensor(b0)) * probe).sum(), a0, h=1e-5, tol=1e-6)
+        else:
+            check_grad(lambda b: (swiglu_gate(Tensor(a0), b) * probe).sum(), b0, h=1e-5, tol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(2, 255, 512), (1, 1, 512)])
+    def test_gate_equals_silu_times_b_bit_for_bit(self, shape):
+        rng = np.random.default_rng(23)
+        a0, b0, g0 = ((rng.normal(size=shape) * 4).astype(np.float32) for _ in range(3))
+        runs = []
+        for gate in (swiglu_gate, lambda a, b: a.silu() * b):
+            a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+            y = gate(a, b)
+            (y * Tensor(g0)).sum().backward()
+            runs.append([z.dtype.str + z.tobytes().hex() for z in (y.data, a.grad, b.grad)])
+        assert runs[0] == runs[1]
+        # the forward is the float32 formula a * (1 / (1 + exp(-a))) * b, evaluated in that order
+        assert runs[0][0] == "<f4" + (a0 * (1.0 / (1.0 + np.exp(-a0))) * b0).tobytes().hex()
+
+    def test_gate_rejects_operands_of_two_shapes(self):
+        with pytest.raises(T.ShapeError):
+            swiglu_gate(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3))))
+
+    def test_taped_ffn_holds_three_hidden_arrays(self):
+        # the gate node keeps a and b and the w_down node the product; sigmoid(a) and silu(a) are recomputed
+        n, d, ff = 256, 8, 1024
+        p = make_params(d=d, ff=ff)
+        x = Tensor(np.random.default_rng(24).normal(size=(1, n, d)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = swiglu_ffn(x, p)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        hidden = n * ff * 4
+        assert held < 3 * hidden + 2 * n * d * 4 + 64 * 1024, f"{held / hidden:.2f} [N, ff] arrays held"
+        y.sum().backward()
+        assert x.grad is not None and p.w_gate.grad is not None and p.w_up.grad is not None
 
 
 class TestLayerBlock:

@@ -219,6 +219,56 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="not present"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda man: man.pop("tensors"), "malformed manifest (KeyError: 'tensors')"),
+            (lambda man: man.pop("model_config"), "malformed manifest (KeyError: 'model_config')"),
+            (lambda man: man["tensors"][1].pop("offset"), "malformed tensor entry 1 (KeyError: 'offset')"),
+            (lambda man: man["tensors"][0].update(shape="ab"), "malformed tensor entry 0 (TypeError: "),
+            (lambda man: man.update(tensors=3), "malformed manifest (TypeError: "),
+        ],
+        ids=["no-tensors", "no-model-config", "no-offset", "string-shape", "tensors-not-a-list"],
+    )
+    def test_manifest_key_or_type_fault_raises(self, model, tmp_path, edit, message):
+        p = str(tmp_path / "k.ppck")
+        save_checkpoint(p, model)
+        rewrite_manifest(p, edit)
+        for read in (load_checkpoint, read_manifest):
+            with pytest.raises(CheckpointError, match=re.escape(f"{p}: {message}")):
+                read(p)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda man: man.update(rng=3),
+            lambda man: man.update(rng={"seed": "7", "position": 0}),
+            lambda man: man.update(extra=[]),
+            lambda man: man.update(model_config=[]),
+            lambda man: man["tensors"][0].pop("provenance"),
+            lambda man: man["tensors"][0].update(name=7),
+            lambda man: man["tensors"][0].update(shape=[2.0, 16]),
+            lambda man: man["tensors"][0].update(shape=[-40, -32]),
+            lambda man: man["tensors"].__setitem__(0, "embed"),
+        ],
+        ids=["rng-int", "rng-seed-str", "extra-list", "config-list", "no-provenance", "int-name", "float-size",
+             "negative-sizes", "string-entry"],
+    )
+    def test_every_key_a_reader_indexes_is_checked(self, model, tmp_path, edit):
+        p = str(tmp_path / "t.ppck")
+        save_checkpoint(p, model)
+        rewrite_manifest(p, edit)
+        for read in (load_checkpoint, read_manifest):
+            with pytest.raises(CheckpointError, match="malformed"):
+                read(p)
+
+    def test_model_config_without_a_required_key_raises_config_error(self, model, tmp_path):
+        p = str(tmp_path / "c.ppck")
+        save_checkpoint(p, model)
+        rewrite_manifest(p, lambda man: man["model_config"].pop("vocab_size"))
+        with pytest.raises(ConfigError, match=re.escape("missing config keys: ['vocab_size']")):
+            load_checkpoint(p)
+
     def test_noisy_evaluation_routing_rejected(self, model, tmp_path):
         p = str(tmp_path / "noisy.ppck")
         save_checkpoint(p, model)

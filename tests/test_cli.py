@@ -196,6 +196,15 @@ class TestTrain:
         assert cfg.seed == 99
         assert train_config_from({"train": {"seed": 1}}, seed_override=5).seed == 5
 
+    def test_unindexable_width_exits_config(self, workdir, capsys):
+        wide = workdir / "wide.yaml"
+        wide.write_text((workdir / "path.yaml").read_text().replace("d_model: 16\n", "d_model: 1000000000000\n"))
+        rc = main(["train", "--config", str(wide), "--data", str(workdir / "store.ppch"), "--role", "path1",
+                   "--out", str(workdir / "wide.ppck")])
+        assert rc == EXIT_CONFIG
+        assert "d_model: must be from 1 to" in capsys.readouterr().err
+        assert not (workdir / "wide.ppck").exists()
+
     def test_noisy_evaluation_routing_rejected(self, workdir, capsys):
         noisy = workdir / "noisy.yaml"
         noisy.write_text(TINY_MODEL.format(n_parallel=1, kind="gumbel_v1").replace(
@@ -502,6 +511,16 @@ class TestCutCheckpoint:
         out, err = capsys.readouterr()
         assert out == "" and f"error: data: {p}: {message}" in err
 
+    @pytest.mark.parametrize("verb", ["generate", "inspect-checkpoint"])
+    def test_manifest_without_a_key_exits_data(self, workdir, capsys, verb):
+        p = workdir / f"no-offset-{verb}.ppck"
+        save_checkpoint(str(p), path_model(workdir, 3))
+        rewrite_manifest(str(p), lambda man: man["tensors"][2].pop("offset"))
+        generate = [*GENERATE, str(workdir / "store.ppch"), "--checkpoint", str(p)]
+        assert main(generate if verb == "generate" else [verb, str(p)]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: data: {p}: malformed tensor entry 2 (KeyError: 'offset')" in err
+
 
 class TestCountParams:
     @pytest.mark.parametrize(
@@ -564,11 +583,13 @@ class TestConfigLoading:
             ("model:\n  vocab_size: 10\n  max_seq_len: 0\n", "max_seq_len"),
             ("model:\n  vocab_size: 10\n  ff_layer: 0\n", "ff_layer"),
             ("model:\n  vocab_size: 10\n  n_layer_blocks: -1\n", "n_layer_blocks"),
+            ("model:\n  vocab_size: 10\n  d_model: 1000000000000\n", "d_model: must be from 1 to 3037000499"),
         ],
         ids=[
             "gumbel-key-typo", "non-integer-size", "non-mapping-gumbel", "non-mapping-section",
             "retired-n_before", "retired-dropout_path", "retired-gumbel-hard-true", "retired-gumbel-hard-0",
             "zero-heads", "negative-width", "zero-vocab", "zero-max-seq-len", "zero-ffn", "negative-layer-count",
+            "unindexable-width",
         ],
     )
     def test_malformed_model_config_exits_config(self, tmp_path, capsys, text, key):
