@@ -33,8 +33,9 @@ _SCALAR_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 def read_config(cls, d, prefix: str = ""):
     """``cls(**d)`` for a config dataclass read from a file or manifest mapping.
 
-    An unknown key, or a scalar field holding a value of another type (a field
-    typed ``T | None`` also takes null), raises ConfigError naming the key;
+    An unknown key, a scalar field holding a value of another type (a field
+    typed ``T | None`` also takes null), or a float field holding inf or nan
+    raises ConfigError naming the key;
     ``prefix`` is the mapping's own key path. A key of the class's ``RETIRED``
     mapping, which older manifests still carry, is dropped when it holds the
     one value that mapping accepts for it, and raises ConfigError otherwise.
@@ -60,6 +61,8 @@ def read_config(cls, d, prefix: str = ""):
             continue
         if not isinstance(value, _SCALAR_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
             raise ConfigError(f"{prefix}{key}: expected {kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{prefix}{key}: expected a finite number, got {value!r}")
     return cls(**d)
 
 

@@ -3,10 +3,11 @@
 Verbs: pretokenize, train, compose, analyze, generate, count-params,
 inspect-checkpoint. Configs are YAML files with ``model:`` and ``train:``
 sections (unknown keys rejected); the packaged presets under ``configs/``
-can be named directly. PAPA_SEED, an integer, overrides the configured seed
-and the --seed of compose and generate; train's --seed overrides it. Exit codes:
-0 success, 2 config error, 3 data error, 4 numerical abort, 5 composition
-conflict.
+can be named directly. A seed comes from --seed, or for train from --seed
+over the config's train.seed; it must be >= 0. The retired PAPA_SEED
+environment variable makes train, compose and generate exit with a config
+error. Exit codes: 0 success, 2 config error, 3 data error, 4 numerical abort,
+5 composition conflict.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from papaformer.data import (
 )
 from papaformer.model import ModelConfig, build, count_params
 from papaformer.tensor import NonFiniteError, RngState
-from papaformer.trainer import TrainConfig, train
+from papaformer.trainer import TrainConfig, check_seed, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,25 +106,6 @@ def model_config_from(raw: dict, vocab_size: int | None = None) -> ModelConfig:
     return ModelConfig.from_dict(section)
 
 
-def env_seed(default: int) -> int:
-    """PAPA_SEED when it is set, else ``default``."""
-    value = os.environ.get("PAPA_SEED")
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"PAPA_SEED: expected an integer, got {value!r}") from None
-
-
-def train_config_from(raw: dict, seed_override: int | None = None) -> TrainConfig:
-    cfg = TrainConfig.from_dict(dict(raw.get("train") or {}))
-    cfg.seed = env_seed(cfg.seed)
-    if seed_override is not None:
-        cfg.seed = seed_override
-    return cfg
-
-
 def _load_corpora(args) -> list:
     corpora = []
     for spec in args.corpus or []:
@@ -156,7 +138,9 @@ def cmd_pretokenize(args) -> int:
 def cmd_train(args) -> int:
     raw = load_config(args.config)
     store = ChunkStore.load(args.data)
-    cfg = train_config_from(raw, args.seed)
+    cfg = TrainConfig.from_dict(raw.get("train") or {})
+    if args.seed is not None:
+        cfg.seed = args.seed
     model_cfg = model_config_from(raw, vocab_size=store.tokenizer.vocab_size)
     chunks = store.select(**ROLES[args.role])
     if not chunks:
@@ -181,7 +165,7 @@ def cmd_compose(args) -> int:
     raw = load_config(args.config)
     # the composite takes the paths' vocab, which validate_plan reads from their manifests
     plan = CompositionPlan(list(args.paths), target_config=lambda vocab: model_config_from(raw, vocab_size=vocab))
-    model = compose(plan, RngState(env_seed(args.seed)))
+    model = compose(plan, RngState(args.seed))
     provenance = composition_provenance(model)
     save_checkpoint(args.out, model, provenance=provenance)
     with replacing(args.out + ".provenance.json") as f:
@@ -233,7 +217,7 @@ def cmd_analyze(args) -> int:
 def cmd_generate(args) -> int:
     model, store = _model_and_store(args)
     tokens = store.tokenizer.tokenize(args.prompt)
-    result = generate(model, tokens, args.max_new_tokens, args.temperature, args.top_n, RngState(env_seed(args.seed)))
+    result = generate(model, tokens, args.max_new_tokens, args.temperature, args.top_n, RngState(args.seed))
     print(f"prompt: {args.prompt}")
     print(f"continuation: {result.text(store.tokenizer)}")
     print("next token predictions:")
@@ -326,6 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command in ("train", "compose", "generate") and "PAPA_SEED" in os.environ:
+            # the verbs it used to reseed fail, so an old script cannot change seeds silently
+            raise ConfigError("PAPA_SEED: retired; give the seed with --seed")
+        if getattr(args, "seed", None) is not None:
+            check_seed(args.seed, "--seed")
         return args.func(args)
     except (ConfigError, yaml.YAMLError) as e:
         print(f"error: config: {e}", file=sys.stderr)

@@ -386,6 +386,8 @@ class ChunkStore:
         with open(path, "rb") as f:
             header, left = read_header(f, path, _STORE_HEADER, CHUNKSTORE_MAGIC, CHUNKSTORE_VERSION, DataError)
             seq_len, count = header[2:]
+            if seq_len < 2:  # the bound build_chunk_store sets; training reads seq_len - 1 positions
+                raise DataError(f"{path}: seq_len {seq_len} is below 2")
             if count * seq_len * 4 > left:
                 raise DataError(f"{path}: truncated chunk store ({left} bytes for {count} chunks of {seq_len} tokens)")
             tokens = np.empty((count, seq_len), dtype="<u4")

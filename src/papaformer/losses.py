@@ -3,9 +3,8 @@
 The two auxiliary terms act on the routing weights pi emitted by Gumbel
 connection blocks: the entropy term is the mean per-token entropy of pi,
 the load term is the entropy of the batch-mean routing distribution. The
-total is ce + sign_e * lambda_e * entropy + sign_l * lambda_l * load, with
-both signs defaulting to +1 (the formulas as printed; see the sign_* knobs
-for the variant that rewards soft/balanced routing instead).
+total is ce + lambda_e * entropy + lambda_l * load, the formulas as printed;
+the weights are checked where they enter, in ``TrainConfig``.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ class LossBreakdown:
     total: Tensor
     lambda_entropy: float
     lambda_load: float
-    sign_entropy: int
-    sign_load: int
 
     def scalars(self) -> dict:
         return {
@@ -93,18 +90,12 @@ def total_loss(
     routing_records: list,
     lambda_entropy: float = DEFAULT_LAMBDA,
     lambda_load: float = DEFAULT_LAMBDA,
-    sign_entropy: int = 1,
-    sign_load: int = 1,
 ) -> LossBreakdown:
     """Assemble the full objective; aux terms average over routing layers.
 
     Models without Gumbel routing (share_linear, baselines) contribute no
     records, so total reduces to the cross-entropy.
     """
-    if lambda_entropy < 0 or lambda_load < 0:
-        raise ValueError("loss weights must be nonnegative")
-    if sign_entropy not in (1, -1) or sign_load not in (1, -1):
-        raise ValueError("sign switches must be +1 or -1")
     pis = [r.pi for r in routing_records if hasattr(r, "pi")]
     if pis:
         n = float(len(pis))
@@ -113,7 +104,7 @@ def total_loss(
         for pi in pis[1:]:
             ent = ent + entropy_loss(pi) * (1.0 / n)
             load = load + load_balance_loss(pi) * (1.0 / n)
-        total = ce + ent * float(sign_entropy * lambda_entropy) + load * float(sign_load * lambda_load)
+        total = ce + ent * float(lambda_entropy) + load * float(lambda_load)
     else:
         ent = load = Tensor(np.zeros((), dtype=ce.data.dtype))
         total = ce
@@ -124,6 +115,4 @@ def total_loss(
         total=total,
         lambda_entropy=lambda_entropy,
         lambda_load=lambda_load,
-        sign_entropy=sign_entropy,
-        sign_load=sign_load,
     )

@@ -23,10 +23,16 @@ import numpy as np
 from papaformer.blocks import ConfigError, read_config
 from papaformer.checkpoint import save_checkpoint
 from papaformer.data import COMPOSITE_SUB, PATH_CORPORA, PATH_SUB, ChunkStore, make_batches
-from papaformer.losses import cross_entropy, total_loss
+from papaformer.losses import DEFAULT_LAMBDA, cross_entropy, total_loss
 from papaformer.model import ModelConfig, PaPaformerModel, _claim_cpus, _usable_cpus, build, forward
 from papaformer.parallel import GumbelParams
 from papaformer.tensor import NonFiniteError, RngState, add_grads
+
+
+def check_seed(seed: int, name: str) -> None:
+    """NumPy's generators take only non-negative seeds."""
+    if seed < 0:
+        raise ConfigError(f"{name}: must be >= 0, got {seed}")
 
 
 @dataclass
@@ -40,13 +46,13 @@ class TrainConfig:
     beta2: float = 0.95
     adam_eps: float = 1e-5
     seed: int = 42
-    lambda_entropy: float = 0.01
-    lambda_load: float = 0.01
-    sign_entropy: int = 1
-    sign_load: int = 1
+    lambda_entropy: float = DEFAULT_LAMBDA
+    lambda_load: float = DEFAULT_LAMBDA
     warmup_steps: int = 0
     grad_clip: float = 0.0  # 0 disables clipping
     max_steps: int | None = None  # cap on logical steps, for smoke runs
+
+    RETIRED = {"sign_entropy": 1, "sign_load": 1}  # see blocks.read_config
 
     def __post_init__(self):
         if self.lr <= 0 or self.batch_size < 1 or self.epochs < 1 or self.grad_accum_steps < 1:
@@ -57,12 +63,11 @@ class TrainConfig:
             raise ConfigError("weight_decay must be >= 0 and adam_eps > 0")
         if self.lambda_entropy < 0 or self.lambda_load < 0:
             raise ConfigError("lambda_entropy/lambda_load: loss weights must be >= 0")
-        if self.sign_entropy not in (1, -1) or self.sign_load not in (1, -1):
-            raise ConfigError("sign_entropy/sign_load: must be +1 or -1")
         if self.max_steps is not None and self.max_steps < 1:
             raise ConfigError("max_steps: must be >= 1, or null for no cap")
         if self.warmup_steps < 0:
             raise ConfigError("warmup_steps: must be >= 0")
+        check_seed(self.seed, "seed")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -201,7 +206,7 @@ def _micro_step(model: PaPaformerModel, batch: list, rng: RngState, cfg: TrainCo
     logits, records = forward(model, x, rng=rng, training=True)
     ce = cross_entropy(logits, y)
     del logits  # no backward reads the [N, V] logits, so they go before the walk
-    breakdown = total_loss(ce, records, cfg.lambda_entropy, cfg.lambda_load, cfg.sign_entropy, cfg.sign_load)
+    breakdown = total_loss(ce, records, cfg.lambda_entropy, cfg.lambda_load)
     if not np.isfinite(breakdown.total.data):
         raise NonFiniteError(f"non-finite loss at step {step}; last-good checkpoint retained")
     sink = {}

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -21,11 +22,12 @@ from papaformer.cli import (
     load_config,
     main,
     model_config_from,
-    train_config_from,
 )
 from papaformer.data import ChunkStore
-from papaformer.model import build
+from papaformer.model import ModelConfig, build
+from papaformer.parallel import GumbelConfig
 from papaformer.tensor import RngState
+from papaformer.trainer import TrainConfig
 from test_checkpoint import promise_a_huge_vocab, rewrite_manifest
 
 TINY_MODEL = """
@@ -144,7 +146,7 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "entry", ["sign_entropy: 2", "lambda_load: -1", "grad_clip: abc", "max_steps: 0", "max_steps: -1",
-                  "warmup_steps: -1"],
+                  "warmup_steps: -1", "lr: .inf", "lambda_entropy: .nan", "seed: -1"],
     )
     def test_bad_train_value_exits_config(self, workdir, capsys, entry):
         bad = workdir / "bad_train.yaml"
@@ -190,11 +192,17 @@ class TestTrain:
         assert rc == EXIT_DATA
         assert f"error: data: {cut}: " in capsys.readouterr().err
 
-    def test_env_seed_override(self, monkeypatch):
-        monkeypatch.setenv("PAPA_SEED", "99")
-        cfg = train_config_from({"train": {"seed": 1}})
-        assert cfg.seed == 99
-        assert train_config_from({"train": {"seed": 1}}, seed_override=5).seed == 5
+    def test_seed_flag_overrides_config_seed(self, workdir):
+        seeded = workdir / "seeded.yaml"
+        seeded.write_text(TINY_PATH + "  seed: 11\n")
+        common = ["--data", str(workdir / "store.ppch"), "--role", "path1"]
+        assert main(["train", "--config", str(seeded), *common, "--out", str(workdir / "cfg11.ppck")]) == 0
+        assert main(["train", "--config", str(workdir / "path.yaml"), *common, "--seed", "11",
+                     "--out", str(workdir / "flag11.ppck")]) == 0
+        assert main(["train", "--config", str(seeded), *common, "--seed", "12",
+                     "--out", str(workdir / "flag12.ppck")]) == 0
+        assert (workdir / "cfg11.ppck").read_bytes() == (workdir / "flag11.ppck").read_bytes()
+        assert read_manifest(str(workdir / "flag12.ppck"))["train_config"]["seed"] == 12
 
     def test_unindexable_width_exits_config(self, workdir, capsys):
         wide = workdir / "wide.yaml"
@@ -215,6 +223,20 @@ class TestTrain:
         assert rc == EXIT_CONFIG
         assert "gumbel.eval_deterministic" in capsys.readouterr().err
         assert not (workdir / "noisy.ppck").exists()
+
+
+def seed_argv(workdir, verb: str, seed: str) -> list:
+    """``verb``'s command line on the shared artifacts with ``--seed seed``, writing any output to badseed.*."""
+    store = str(workdir / "store.ppch")
+    return {
+        "pretokenize": ["pretokenize", "--synthetic", "5", "--seq-len", "16", "--out", str(workdir / "badseed.ppch")],
+        "train": ["train", "--config", str(workdir / "path.yaml"), "--data", store, "--role", "path1",
+                  "--out", str(workdir / "badseed.ppck")],
+        "compose": ["compose", str(workdir / "path1.ppck"), str(workdir / "path2.ppck"),
+                    "--config", str(workdir / "gumbel.yaml"), "--out", str(workdir / "badseed.ppck")],
+        "generate": ["generate", "--checkpoint", str(workdir / "composite.ppck"), "--data", store,
+                     "--prompt", "Once upon a time"],
+    }[verb] + ["--seed", seed]
 
 
 class TestCompose:
@@ -304,14 +326,6 @@ class TestCompose:
         err = capsys.readouterr().err
         assert "config's 50257" in err and f"data's {path_vocab}" in err
 
-    def test_env_seed_overrides_compose_seed(self, workdir, monkeypatch):
-        paths = [str(workdir / "path1.ppck"), str(workdir / "path2.ppck")]
-        config = ["--config", str(workdir / "gumbel.yaml")]
-        assert main(["compose", *paths, *config, "--seed", "5", "--out", str(workdir / "seed5.ppck")]) == 0
-        monkeypatch.setenv("PAPA_SEED", "5")
-        assert main(["compose", *paths, *config, "--seed", "0", "--out", str(workdir / "env5.ppck")]) == 0
-        assert (workdir / "seed5.ppck").read_bytes() == (workdir / "env5.ppck").read_bytes()
-
     @pytest.mark.parametrize("verb", ["train", "compose", "generate"])
     def test_non_integer_env_seed(self, workdir, monkeypatch, capsys, verb):
         store = str(workdir / "store.ppch")
@@ -327,6 +341,21 @@ class TestCompose:
         assert main(argv) == EXIT_CONFIG
         assert "PAPA_SEED" in capsys.readouterr().err
         assert not (workdir / "badseed.ppck").exists()
+
+    @pytest.mark.parametrize("verb", ["train", "compose", "generate"])
+    def test_retired_env_seed_exits_config(self, workdir, monkeypatch, capsys, verb):
+        monkeypatch.setenv("PAPA_SEED", "5")
+        assert main(seed_argv(workdir, verb, "5")) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "PAPA_SEED: retired; give the seed with --seed" in err
+        assert not (workdir / "badseed.ppck").exists()
+
+    @pytest.mark.parametrize("verb", ["pretokenize", "train", "compose", "generate"])
+    def test_negative_seed_exits_config(self, workdir, capsys, verb):
+        assert main(seed_argv(workdir, verb, "-1")) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "--seed: must be >= 0, got -1" in err
+        assert not (workdir / "badseed.ppck").exists() and not (workdir / "badseed.ppch").exists()
 
     def test_provenance_file_matches_checkpoint(self, workdir):
         provenance = json.loads((workdir / "composite.ppck.provenance.json").read_text())
@@ -584,12 +613,13 @@ class TestConfigLoading:
             ("model:\n  vocab_size: 10\n  ff_layer: 0\n", "ff_layer"),
             ("model:\n  vocab_size: 10\n  n_layer_blocks: -1\n", "n_layer_blocks"),
             ("model:\n  vocab_size: 10\n  d_model: 1000000000000\n", "d_model: must be from 1 to 3037000499"),
+            ("model:\n  vocab_size: 10\n  gumbel: {temperature: .nan}\n", "gumbel.temperature"),
         ],
         ids=[
             "gumbel-key-typo", "non-integer-size", "non-mapping-gumbel", "non-mapping-section",
             "retired-n_before", "retired-dropout_path", "retired-gumbel-hard-true", "retired-gumbel-hard-0",
             "zero-heads", "negative-width", "zero-vocab", "zero-max-seq-len", "zero-ffn", "negative-layer-count",
-            "unindexable-width",
+            "unindexable-width", "nan-temperature",
         ],
     )
     def test_malformed_model_config_exits_config(self, tmp_path, capsys, text, key):
@@ -643,3 +673,14 @@ class TestConfigLoading:
         )
         assert out.returncode == 0, out.stderr
         assert "ResourceWarning" not in out.stderr
+
+    def test_readme_lists_exactly_the_retired_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| accepted value |", 1)[1].split("\n\n", 1)[0]
+        rows = re.findall(r"^\| `(\S+)` +\| `(\S+)` +\|$", table, re.MULTILINE)
+        retired = {
+            prefix + key: json.dumps(value)
+            for cls, prefix in ((ModelConfig, ""), (GumbelConfig, "gumbel."), (TrainConfig, "train."))
+            for key, value in cls.RETIRED.items()
+        }
+        assert len(rows) == len(retired) and dict(rows) == retired

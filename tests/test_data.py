@@ -403,6 +403,15 @@ class TestCorruptStore:
         with pytest.raises(DataError, match=f"{bad}: token id 1000000 is outside the vocab of"):
             ChunkStore.load(str(bad))
 
+    def test_seq_len_below_two_raises(self, saved, tmp_path):
+        store = ChunkStore.load(str(tmp_path / "good.ppch"))
+        bad = tmp_path / "short.ppch"
+        # a consistent store of one-token chunks, which build_chunk_store refuses to make
+        ones = [Chunk(c.tokens[:1], c.corpus, c.epoch, c.start, c.sub_collection) for c in store.chunks]
+        ChunkStore(seq_len=1, chunks=ones, tokenizer=store.tokenizer).save(str(bad))
+        with pytest.raises(DataError, match=f"{bad}: seq_len 1 is below 2"):
+            ChunkStore.load(str(bad))
+
     def test_loaded_chunks_are_rows_of_one_writable_array(self, saved, tmp_path):
         path = tmp_path / "good.ppch"
         chunks = ChunkStore.load(str(path)).chunks

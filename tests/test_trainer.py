@@ -170,10 +170,18 @@ class TestAdamW:
             TrainConfig(beta2=1.0)
         with pytest.raises(ConfigError):
             TrainConfig.from_dict({"lr": 1e-3, "nope": 1})
-        for bad in ({"sign_entropy": 2}, {"sign_load": 0}, {"lambda_entropy": -0.1}, {"lambda_load": -1},
-                    {"max_steps": 0}, {"max_steps": -1}, {"warmup_steps": -1}):
+        for bad in ({"lambda_entropy": -0.1}, {"lambda_load": -1}, {"max_steps": 0}, {"max_steps": -1},
+                    {"warmup_steps": -1}, {"seed": -1}):
             with pytest.raises(ConfigError, match=next(iter(bad))):
                 TrainConfig(**bad)
+
+    def test_retired_loss_signs(self):
+        # older configs and manifests carry both keys at +1, which still parse
+        assert TrainConfig.from_dict({"sign_entropy": 1, "sign_load": 1}) == TrainConfig()
+        assert "sign_entropy" not in TrainConfig().to_dict()
+        for bad in ({"sign_entropy": -1}, {"sign_load": 0}, {"sign_entropy": True}):
+            with pytest.raises(ConfigError, match=f"train.{next(iter(bad))}: retired"):
+                TrainConfig.from_dict(bad)
 
 
 class TestCosineLr:
@@ -280,6 +288,24 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(model, subset(store, 4), cfg)
 
+    def test_grad_clip_bounds_every_steps_gradient(self, store, monkeypatch):
+        norms = []
+        real = trainer.adamw_step
+
+        def spying(params, state, lr_t, cfg):
+            grads = [p.grad.astype(np.float64) for p in params.values() if p.grad is not None]
+            norms.append(math.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+            return real(params, state, lr_t, cfg)
+
+        monkeypatch.setattr(trainer, "adamw_step", spying)
+        _, free = self.run(store)
+        unclipped, norms[:] = list(norms), []
+        clip = min(unclipped) / 2
+        _, report = self.run(store, grad_clip=clip)
+        assert len(norms) == len(report.steps) == len(free.steps)
+        assert max(norms) <= clip * (1 + 1e-5)
+        assert norms[0] == pytest.approx(clip, rel=1e-5)  # the first step's gradient was cut to the bound
+
     def test_log_file_lines(self, store, tmp_path):
         cfg = tiny_cfg(max_steps=2)
         model = build(small_model_config(store.tokenizer.vocab_size), RngState(0))
@@ -373,10 +399,11 @@ def numpy_platform() -> dict:
     }
 
 
-# sha256 of composite_checkpoint before backward freed the graph as it walked,
-# taken with one BLAS thread on this platform. OpenBLAS picks its kernels per
+# sha256 of composite_checkpoint, taken with one BLAS thread on this platform:
+# the weights of before backward freed the graph as it walked, under a manifest
+# whose train_config has no retired loss-sign keys. OpenBLAS picks its kernels per
 # CPU and may split a GEMM per thread, so elsewhere the bits may differ.
-PINNED_DIGEST = "7992172eba858d86b121cc9761487c2f9429be319d7dda95efa295d2b056f3de"
+PINNED_DIGEST = "d6ab6dc7bcd485a74b477bb24ebd6caedc6787ce3e17f6e74e6bf47dab671826"
 PINNED_PLATFORM = {
     "machine": "x86_64",
     "numpy": "2.4.6",
