@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ def read_config(cls, d, prefix: str = ""):
     """``cls(**d)`` for a config dataclass read from a file or manifest mapping.
 
     An unknown key, a scalar field holding a value of another type (a field
-    typed ``T | None`` also takes null), or a float field holding inf or nan
-    raises ConfigError naming the key;
+    typed ``T | None`` also takes null), or a float field holding inf, nan or
+    an int too large for a float raises ConfigError naming the key;
     ``prefix`` is the mapping's own key path. A key of the class's ``RETIRED``
     mapping, which older manifests still carry, is dropped when it holds the
     one value that mapping accepts for it, and raises ConfigError otherwise.
@@ -61,7 +62,8 @@ def read_config(cls, d, prefix: str = ""):
             continue
         if not isinstance(value, _SCALAR_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
             raise ConfigError(f"{prefix}{key}: expected {kind}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
+        # an int too large for a float fails too, by exact comparison, where float() would raise
+        if kind == "float" and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{prefix}{key}: expected a finite number, got {value!r}")
     return cls(**d)
 

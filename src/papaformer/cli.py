@@ -123,7 +123,7 @@ def _load_corpora(args) -> list:
 
 def cmd_pretokenize(args) -> int:
     corpora = _load_corpora(args)
-    store = build_chunk_store(corpora, seq_len=args.seq_len, seed=args.seed, byte_fallback=args.byte_fallback)
+    store = build_chunk_store(corpora, seq_len=args.seq_len, seed=args.seed)
     store.save(args.out)
     print(f"wrote {args.out}: vocab={store.tokenizer.vocab_size} seq_len={store.seq_len}")
     counts = Counter((c.corpus, c.sub_collection, c.epoch) for c in store.chunks)
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--synthetic", type=int, default=0, metavar="N", help="add N synthetic docs per domain")
     s.add_argument("--seq-len", type=int, default=256)
     s.add_argument("--seed", type=int, default=42)
-    s.add_argument("--byte-fallback", action="store_true")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_pretokenize)
 

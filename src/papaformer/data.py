@@ -1,5 +1,6 @@
 """Toy tokenizer, synthetic two-domain corpora, and the chunking protocol.
 
+A word's token id is its vocabulary id, or UNK for a word not in the vocab.
 Documents are joined into one contiguous token stream per corpus with an
 EOS separator after every document, then tiled into fixed-length chunks
 (256 tokens by default) from a random per-epoch start offset so the two
@@ -17,7 +18,7 @@ import stat
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -104,30 +105,26 @@ class Corpus:
 
 @dataclass
 class ToyTokenizer:
-    """Whitespace word-level tokenizer with optional byte fallback.
+    """Whitespace word-level tokenizer.
 
     Words are the runs of non-whitespace ``str.split()`` returns. ids are
-    dense: 0 = EOS, 1 = UNK, then (in byte-fallback mode) 256 byte tokens,
-    then the word vocabulary in first-seen order.
+    dense: 0 = EOS, 1 = UNK, then the word vocabulary in first-seen order.
+    A word's id is its vocabulary id, or UNK for a word not in the vocab.
     """
 
     vocab: dict  # token string -> id
-    byte_fallback: bool = False
 
     EOS = 0
     UNK = 1
 
     @classmethod
-    def build(cls, corpora: list, byte_fallback: bool = False) -> "ToyTokenizer":
+    def build(cls, corpora: list) -> "ToyTokenizer":
         vocab = {EOS_TOKEN: cls.EOS, UNK_TOKEN: cls.UNK}
-        if byte_fallback:
-            for b in range(256):
-                vocab[f"<0x{b:02X}>"] = len(vocab)
         for corpus in corpora:
             # one document's words are live at a time; the dict keeps each word once
             for w in dict.fromkeys(chain.from_iterable(map(str.split, corpus.documents))):
                 vocab.setdefault(w, len(vocab))
-        return cls(vocab=vocab, byte_fallback=byte_fallback)
+        return cls(vocab=vocab)
 
     @property
     def vocab_size(self) -> int:
@@ -142,40 +139,15 @@ class ToyTokenizer:
         return h.hexdigest()[:16]
 
     def ids(self, text: str) -> list:
-        """Token ids of ``text`` as a list: one per vocabulary word, UNK or UTF-8 bytes otherwise."""
-        words = text.split()
-        ids = list(map(self.vocab.get, words))
-        if None not in ids:
-            return ids
-        out = []
-        for w, idx in zip(words, ids):
-            if idx is not None:
-                out.append(idx)
-            elif self.byte_fallback:
-                out.extend(2 + b for b in w.encode("utf-8"))
-            else:
-                out.append(self.UNK)
-        return out
+        """Token ids of ``text`` as a list: one per word, its vocabulary id or UNK."""
+        return list(map(self.vocab.get, text.split(), repeat(self.UNK)))
 
     def tokenize(self, text: str) -> np.ndarray:
         return np.array(self.ids(text), dtype=np.uint32)
 
     def detokenize(self, ids) -> str:
         inv = self.id_to_token()
-        out = []
-        pending_bytes = []
-        for i in ids:
-            tok = inv[int(i)]
-            if self.byte_fallback and tok.startswith("<0x") and tok.endswith(">"):
-                pending_bytes.append(int(tok[3:-1], 16))
-                continue
-            if pending_bytes:
-                out.append(bytes(pending_bytes).decode("utf-8", errors="replace"))
-                pending_bytes = []
-            out.append(tok)
-        if pending_bytes:
-            out.append(bytes(pending_bytes).decode("utf-8", errors="replace"))
-        return " ".join(out)
+        return " ".join(inv[int(i)] for i in ids)
 
     def id_to_token(self) -> list:
         inv = [None] * len(self.vocab)
@@ -184,11 +156,12 @@ class ToyTokenizer:
         return inv
 
     def to_dict(self) -> dict:
-        return {"vocab": self.vocab, "byte_fallback": self.byte_fallback}
+        # the key of the retired byte-fallback mode stays, at its one value, so stores keep their bytes
+        return {"vocab": self.vocab, "byte_fallback": False}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToyTokenizer":
-        return cls(vocab=dict(d["vocab"]), byte_fallback=bool(d["byte_fallback"]))
+        return cls(vocab=dict(d["vocab"]))
 
 
 @dataclass
@@ -396,6 +369,7 @@ class ChunkStore:
         try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
             provenance = json.loads(tail)
             tokenizer = ToyTokenizer.from_dict(provenance["tokenizer"])
+            fallback = provenance["tokenizer"]["byte_fallback"]
             metas = provenance["chunks"]
             chunks = [
                 Chunk(tokens=row, corpus=m["corpus"], epoch=m["epoch"], start=m["start"], sub_collection=m["sub"])
@@ -403,6 +377,8 @@ class ChunkStore:
             ]
         except (ValueError, KeyError, TypeError) as e:
             raise DataError(f"{path}: malformed chunk-store provenance ({type(e).__name__}: {e})") from None
+        if fallback is not False:
+            raise DataError(f"{path}: retired byte_fallback {fallback!r}; rerun pretokenize without --byte-fallback")
         if len(metas) != count:
             raise DataError(f"{path}: the header counts {count} chunks, the provenance {len(metas)}")
         top = int(tokens.max(initial=0))
@@ -415,12 +391,11 @@ def build_chunk_store(
     corpora: list,
     seq_len: int = SEQ_LEN_DEFAULT,
     seed: int = 42,
-    byte_fallback: bool = False,
 ) -> ChunkStore:
     """Full preprocessing pipeline: tokenize, chunk twice, split 60/40 per corpus."""
     if seq_len < 2:  # the two epochs' chunkings need distinct start offsets in [0, seq_len)
         raise ConfigError(f"seq_len: must be >= 2, got {seq_len}")
-    tokenizer = ToyTokenizer.build(corpora, byte_fallback=byte_fallback)
+    tokenizer = ToyTokenizer.build(corpora)
     rng = RngState(seed)
     all_chunks = []
     for corpus in corpora:

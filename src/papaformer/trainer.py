@@ -67,6 +67,8 @@ class TrainConfig:
             raise ConfigError("max_steps: must be >= 1, or null for no cap")
         if self.warmup_steps < 0:
             raise ConfigError("warmup_steps: must be >= 0")
+        if self.grad_clip < 0:
+            raise ConfigError("grad_clip: must be >= 0 (0 disables clipping)")
         check_seed(self.seed, "seed")
 
     def to_dict(self) -> dict:
@@ -207,6 +209,7 @@ def _micro_step(model: PaPaformerModel, batch: list, rng: RngState, cfg: TrainCo
     ce = cross_entropy(logits, y)
     del logits  # no backward reads the [N, V] logits, so they go before the walk
     breakdown = total_loss(ce, records, cfg.lambda_entropy, cfg.lambda_load)
+    del records  # nor a share_linear record's path outputs
     if not np.isfinite(breakdown.total.data):
         raise NonFiniteError(f"non-finite loss at step {step}; last-good checkpoint retained")
     sink = {}

@@ -106,6 +106,14 @@ class TestPretokenize:
                 tokens = int(line.split("(")[1].split()[0])
                 assert tokens == n * 16
 
+    def test_retired_byte_fallback_flag_exits_config(self, workdir, capsys):
+        out = workdir / "byte_fallback.ppch"
+        with pytest.raises(SystemExit) as e:
+            main(["pretokenize", "--synthetic", "5", "--seq-len", "16", "--byte-fallback", "--out", str(out)])
+        assert e.value.code == EXIT_CONFIG
+        assert "--byte-fallback" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_corpora(self, workdir, capsys):
         assert main(["pretokenize", "--out", str(workdir / "x.ppch")]) == EXIT_DATA
         assert "error: data" in capsys.readouterr().err
@@ -146,7 +154,9 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "entry", ["sign_entropy: 2", "lambda_load: -1", "grad_clip: abc", "max_steps: 0", "max_steps: -1",
-                  "warmup_steps: -1", "lr: .inf", "lambda_entropy: .nan", "seed: -1"],
+                  "warmup_steps: -1", "lr: .inf", "lambda_entropy: .nan", "seed: -1", "grad_clip: -1.0",
+                  f"lr: {10**316}", f"lambda_load: {10**316}"],
+        ids=lambda entry: entry if len(entry) < 40 else entry.split(":")[0] + ": 10**316",
     )
     def test_bad_train_value_exits_config(self, workdir, capsys, entry):
         bad = workdir / "bad_train.yaml"
@@ -282,9 +292,13 @@ class TestCompose:
         assert rc == EXIT_CONFIG
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
-    @pytest.mark.parametrize("store_args", [["--synthetic", "5"], ["--synthetic", "40", "--byte-fallback"]],
+    @pytest.mark.parametrize("store_args", [["--synthetic", "5"], ["--synthetic", "40", "--corpus"]],
                              ids=["smaller", "larger"])
     def test_store_vocab_other_than_the_models_exits_data(self, workdir, capsys, store_args):
+        if store_args[-1] == "--corpus":  # the shared store's corpora plus words they never use
+            extra = workdir / "extra_words.txt"
+            extra.write_text("".join(f"word{i} " * 4 + "\n" for i in range(20)))
+            store_args = [*store_args, f"extra={extra}"]
         store = str(workdir / f"other_vocab_{len(store_args)}.ppch")
         assert main(["pretokenize", *store_args, "--seq-len", "16", "--seed", "7", "--out", store]) == 0
         composite = str(workdir / "composite.ppck")
@@ -297,6 +311,24 @@ class TestCompose:
             assert main([*verb, "--checkpoint", composite, "--data", store]) == EXIT_DATA
             out, err = capsys.readouterr()
             assert out == "" and f"vocab has {have} words, the checkpoint's model {want}" in err
+
+    @pytest.mark.parametrize("verb", ["train", "generate"])
+    def test_store_written_with_byte_fallback_exits_data(self, workdir, capsys, verb):
+        store = workdir / "byte_fallback_store.ppch"
+        saved = (workdir / "store.ppch").read_bytes()
+        assert saved.count(b'"byte_fallback": false') == 1
+        store.write_bytes(saved.replace(b'"byte_fallback": false', b'"byte_fallback": true'))
+        argv = {
+            "train": ["train", "--config", str(workdir / "path.yaml"), "--role", "path1",
+                      "--out", str(workdir / "byte_fallback.ppck")],
+            "generate": ["generate", "--checkpoint", str(workdir / "composite.ppck"), "--prompt", "Once upon a time"],
+        }[verb]
+        assert main([*argv, "--data", str(store)]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{store}: retired byte_fallback True; rerun pretokenize without --byte-fallback" in err
+        assert "malformed" not in err
+        assert not (workdir / "byte_fallback.ppck").exists()
 
     def test_plan_validated_once(self, workdir, monkeypatch):
         calls = []

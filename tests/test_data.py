@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from papaformer.data import (
@@ -54,15 +54,6 @@ class TestTokenizer:
     def test_unknown_maps_to_unk(self, tok):
         ids = tok.tokenize("zzz-not-in-vocab")
         assert list(ids) == [ToyTokenizer.UNK]
-
-    def test_byte_fallback_covers_all_bytes(self, corpora):
-        bt = ToyTokenizer.build(corpora, byte_fallback=True)
-        # every byte value reachable: no UNK for arbitrary byte strings
-        probe = bytes(range(256)).decode("latin-1")
-        ids = bt.tokenize(probe)
-        assert ToyTokenizer.UNK not in set(int(i) for i in ids)
-        weird = "q7#é€ zzz-not-in-vocab"
-        assert ToyTokenizer.UNK not in set(int(i) for i in bt.tokenize(weird))
 
     def test_deterministic(self, tok):
         a = tok.tokenize("Lily went to the park .")
@@ -245,12 +236,7 @@ def regex_tokenize(tok: ToyTokenizer, text: str) -> list:
     ids = []
     for w in re.findall(r"\S+", text):
         idx = tok.vocab.get(w)
-        if idx is not None:
-            ids.append(idx)
-        elif tok.byte_fallback:
-            ids.extend(2 + b for b in w.encode("utf-8"))
-        else:
-            ids.append(tok.UNK)
+        ids.append(tok.UNK if idx is None else idx)
     return ids
 
 
@@ -327,10 +313,18 @@ class TestStoreBytes:
     @settings(max_examples=300, deadline=None)
     def test_tokenize_matches_regex_reference(self, text):
         corpus = Corpus(documents=["Lily went to the park .", "what is 7 plus 2 ?"], domain_tag="story")
-        for byte_fallback in (False, True):
-            tok = ToyTokenizer.build([corpus], byte_fallback=byte_fallback)
-            assert tok.tokenize(text).tolist() == regex_tokenize(tok, text)
-            assert tok.tokenize(text).dtype == np.uint32
+        tok = ToyTokenizer.build([corpus])
+        assert tok.tokenize(text).tolist() == regex_tokenize(tok, text)
+        assert tok.tokenize(text).dtype == np.uint32
+
+    @given(TEXT)
+    @example("Lily foo bar went <0x41>")
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_gives_the_words_with_unknown_ones_as_unk(self, text):
+        corpus = Corpus(documents=["Lily went to the park .", "what is 7 plus 2 ? <eos>"], domain_tag="story")
+        tok = ToyTokenizer.build([corpus])
+        want = " ".join(w if w in tok.vocab else "<unk>" for w in re.findall(r"\S+", text))
+        assert tok.detokenize(tok.tokenize(text)) == want
 
     def test_unknown_words_and_unicode_whitespace(self, tok):
         text = "Lily\u00a0went\u2028to\x1cthe zebra\u200bpark"
@@ -348,12 +342,11 @@ class TestStoreBytes:
         assert synthetic_math_corpus(60, seed).documents == scalar_math_corpus(60, seed)
 
     def test_stream_matches_per_document_tokenize(self, corpora):
-        for byte_fallback in (False, True):
-            tok = ToyTokenizer.build(corpora[:1], byte_fallback=byte_fallback)  # math words are unknown
-            for c in corpora:
-                want = [i for d in c.documents for i in regex_tokenize(tok, d) + [tok.EOS]]
-                stream = build_stream(c, tok)
-                assert stream.dtype == np.uint32 and stream.tolist() == want
+        tok = ToyTokenizer.build(corpora[:1])  # math words are unknown
+        for c in corpora:
+            want = [i for d in c.documents for i in regex_tokenize(tok, d) + [tok.EOS]]
+            stream = build_stream(c, tok)
+            assert stream.dtype == np.uint32 and stream.tolist() == want
 
     def test_pretokenize_matches_pinned_digest(self, tmp_path):
         if np.__version__ != PINNED_NUMPY:
@@ -401,6 +394,20 @@ class TestCorruptStore:
         end = saved.index(b'{"tokenizer"')  # the provenance JSON follows the last chunk's last token
         bad.write_bytes(saved[: end - 4] + (10**6).to_bytes(4, "little") + saved[end:])
         with pytest.raises(DataError, match=f"{bad}: token id 1000000 is outside the vocab of"):
+            ChunkStore.load(str(bad))
+
+    @pytest.mark.parametrize("value", [b"true", b"1", b"null"])
+    def test_byte_fallback_other_than_false_raises_the_retirement(self, saved, tmp_path, value):
+        bad = tmp_path / "byte_fallback.ppch"
+        bad.write_bytes(saved.replace(b'"byte_fallback": false', b'"byte_fallback": ' + value))
+        retired = f"^{bad}: retired byte_fallback .*; rerun pretokenize without --byte-fallback$"
+        with pytest.raises(DataError, match=retired):
+            ChunkStore.load(str(bad))
+
+    def test_provenance_without_byte_fallback_is_malformed(self, saved, tmp_path):
+        bad = tmp_path / "no_key.ppch"
+        bad.write_bytes(saved.replace(b', "byte_fallback": false', b""))
+        with pytest.raises(DataError, match="malformed chunk-store provenance .KeyError: 'byte_fallback'"):
             ChunkStore.load(str(bad))
 
     def test_seq_len_below_two_raises(self, saved, tmp_path):

@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,26 @@ class TestTrainLoop:
         assert len(norms) == len(report.steps) == len(free.steps)
         assert max(norms) <= clip * (1 + 1e-5)
         assert norms[0] == pytest.approx(clip, rel=1e-5)  # the first step's gradient was cut to the bound
+
+    def test_share_linear_records_are_gone_when_backward_starts(self, store, monkeypatch):
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 1)
+        refs, alive = [], []
+        real_forward, real_backward = trainer.forward, Tensor.backward
+
+        def recording(*args, **kwargs):
+            logits, records = real_forward(*args, **kwargs)
+            refs.extend(weakref.ref(r.path_outputs[0].data) for r in records)
+            return logits, records
+
+        def checking(self, sink=None):
+            alive.append([ref() is not None for ref in refs])
+            return real_backward(self, sink)
+
+        monkeypatch.setattr(trainer, "forward", recording)
+        monkeypatch.setattr(Tensor, "backward", checking)
+        model = build(small_model_config(store.tokenizer.vocab_size, connection_kind="share_linear"), RngState(0))
+        train(model, subset(store, 8), tiny_cfg(max_steps=1, grad_accum_steps=1))
+        assert len(refs) == 2 and alive == [[False, False]]  # no backward reads a path layer's outputs
 
     def test_log_file_lines(self, store, tmp_path):
         cfg = tiny_cfg(max_steps=2)
