@@ -249,9 +249,9 @@ def generate(
 
 def format_generation(result: GenerationResult, tokenizer) -> str:
     """Per-step next-token report: predicted token with top-n percentages."""
-    inv = {v: k for k, v in tokenizer.vocab.items()}
+    inv = tokenizer.id_to_token()
     lines = []
     for step in result.steps:
-        tops = ", ".join(f"{inv.get(t, '?')} — {100 * p:.1f}%" for t, p in step.top_tokens)
-        lines.append(f"{inv.get(step.token, '?')}: {tops}")
+        tops = ", ".join(f"{inv[t]} — {100 * p:.1f}%" for t, p in step.top_tokens)
+        lines.append(f"{inv[step.token]}: {tops}")
     return "\n".join(lines)

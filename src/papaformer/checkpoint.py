@@ -4,8 +4,8 @@ Layout: magic "PPCK", u32 version, u64 manifest byte length, UTF-8 JSON
 manifest, then the payload of raw little-endian float32 tensors in manifest
 order. The manifest carries per-tensor (name, shape, offset, provenance),
 the model config, the optional training config, the rng stream state, and
-free-form extras (step counters, epoch). save -> load -> save reproduces
-identical bytes.
+free-form extras (an epoch checkpoint's ``global_step``). save -> load -> save
+reproduces identical bytes.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 One logical optimizer step accumulates gradients over ``grad_accum_steps``
 micro-batches (each micro loss scaled by 1/accum so accumulation equals one
 big batch), then applies a decoupled-weight-decay Adam update at the cosine
-annealed learning rate. All randomness flows through two serializable
-RngState streams (data order, model noise), so identical seeds reproduce
-loss trajectories bit-exactly and epoch-boundary checkpoints resume without
-divergence.
+annealed learning rate. All randomness flows through two RngState streams:
+data order, planned from ``cfg.seed`` by every run, and model noise, saved in
+epoch checkpoints; so identical seeds reproduce loss trajectories bit-exactly
+and epoch-boundary checkpoints resume without divergence.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from papaformer.blocks import ConfigError, read_config
-from papaformer.checkpoint import save_checkpoint
+from papaformer.checkpoint import CheckpointError, save_checkpoint
 from papaformer.data import COMPOSITE_SUB, PATH_CORPORA, PATH_SUB, ChunkStore, make_batches
 from papaformer.losses import DEFAULT_LAMBDA, cross_entropy, total_loss
 from papaformer.model import ModelConfig, PaPaformerModel, _claim_cpus, _usable_cpus, build, forward
@@ -83,14 +83,13 @@ class TrainConfig:
 class OptimizerState:
     m: dict = field(default_factory=dict)  # name -> first moment
     v: dict = field(default_factory=dict)  # name -> second moment
-    step: int = 0
+    step: int = 0  # optimizer steps taken: the one step counter of a run
 
     @classmethod
     def init(cls, params: dict) -> "OptimizerState":
         return cls(
             m={n: np.zeros_like(p.data) for n, p in params.items()},
             v={n: np.zeros_like(p.data) for n, p in params.items()},
-            step=0,
         )
 
     def tensors(self) -> dict:
@@ -171,11 +170,10 @@ def clip_gradients(params: dict, max_norm: float) -> float:
 
 @dataclass
 class TrainState:
+    """What a run cannot recompute: the AdamW moments and step count, and the model-noise stream."""
+
     opt: OptimizerState
-    data_rng: RngState
     model_rng: RngState
-    global_step: int = 0
-    epochs_done: int = 0
 
 
 @dataclass
@@ -227,16 +225,16 @@ def train(
 ) -> TrainReport:
     """Train ``model`` on the given chunks; deterministic under cfg.seed.
 
-    Every epoch's batches are planned up front from the data rng and cut into
-    optimizer steps of ``grad_accum_steps`` micro-batches each; the steps of
-    all epochs form one list, cut to ``max_steps``, whose length is the lr
-    schedule's horizon. An epoch checkpoint is written after the last step of
-    each epoch in the list.
+    Every epoch's batches are planned up front from ``RngState(cfg.seed)``
+    and cut into optimizer steps of ``grad_accum_steps`` micro-batches each;
+    the steps of all epochs form one list, cut to ``max_steps``, whose length
+    is the lr schedule's horizon. An epoch checkpoint is written after the
+    last step of each epoch in the list, with ``extra={"global_step": n}``.
 
-    Resuming: pass the ``TrainState`` reconstructed from an epoch-boundary
-    checkpoint; planning replays the same seeded batch order and the run
-    starts at the state's ``global_step``, so resumed training is bit-identical
-    to an uninterrupted run.
+    Resuming: pass the ``TrainState`` that ``state_from_checkpoint`` rebuilds
+    from an epoch checkpoint; planning replays the seeded batch order and the
+    run starts at the step its optimizer has taken, so resumed training under
+    the same ``cfg`` is bit-identical to an uninterrupted run.
 
     A step's micro-batches run on up to one thread per usable CPU, each on
     its own tape. Micro-batch j draws its Gumbel noise from the stream
@@ -245,18 +243,16 @@ def train(
     the same bit for bit at any worker count.
     """
     if state is None:
-        state = TrainState(
-            opt=OptimizerState.init(model.named_params()),
-            data_rng=RngState(cfg.seed),
-            model_rng=RngState(cfg.seed + 1),
-        )
+        state = TrainState(opt=OptimizerState.init(model.named_params()), model_rng=RngState(cfg.seed + 1))
+    opt = state.opt
+    data_rng = RngState(cfg.seed)
     params = model.named_params()
     report = TrainReport()
 
     accum = cfg.grad_accum_steps
     steps = []  # (epoch, micro-batches) per optimizer step
     for epoch in range(1, cfg.epochs + 1):
-        plan = _plan_epoch(chunks, epoch, cfg, state.data_rng)
+        plan = _plan_epoch(chunks, epoch, cfg, data_rng)
         report.planned.extend((c.corpus, c.sub_collection, c.epoch, c.start) for batch in plan for c in batch)
         steps.extend((epoch, plan[i : i + accum]) for i in range(0, len(plan) - accum + 1, accum))
     steps = steps[: cfg.max_steps]
@@ -268,14 +264,14 @@ def train(
     workers = min(accum, _usable_cpus()) if _claim_cpus() else 1
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
-        for epoch, micro in steps[state.global_step :]:
-            lr_t = cosine_lr(state.global_step, len(steps), cfg.lr, cfg.warmup_steps)
+        for epoch, micro in steps[opt.step :]:
+            lr_t = cosine_lr(opt.step, len(steps), cfg.lr, cfg.warmup_steps)
             t0 = time.perf_counter()
             acc = {"ce": 0.0, "entropy": 0.0, "load": 0.0, "total": 0.0}
             n_tokens = 0
             start = state.model_rng.position
             rngs = [RngState(state.model_rng.seed, start + j * draws) for j in range(len(micro))]
-            results = run(lambda batch, rng: _micro_step(model, batch, rng, cfg, state.global_step), micro, rngs)
+            results = run(lambda batch, rng: _micro_step(model, batch, rng, cfg, opt.step), micro, rngs)
             for j, (batch, rng, (scalars, sink, tokens)) in enumerate(zip(micro, rngs, results)):
                 if rng.position != start + (j + 1) * draws:
                     raise RuntimeError(
@@ -290,50 +286,45 @@ def train(
             state.model_rng.position = start + len(micro) * draws
             if cfg.grad_clip > 0:
                 clip_gradients(params, cfg.grad_clip)
-            adamw_step(params, state.opt, lr_t, cfg)
+            adamw_step(params, opt, lr_t, cfg)
             model.zero_grad()
-            state.global_step += 1
             dt = time.perf_counter() - t0
-            entry = {"step": state.global_step, "lr": lr_t, **acc, "tokens_per_sec": n_tokens / dt}
+            entry = {"step": opt.step, "lr": lr_t, **acc, "tokens_per_sec": n_tokens / dt}
             report.steps.append(entry)
             if log_file is not None:
                 log_file.write(
                     "step={step} lr={lr:.6g} ce={ce:.6f} entropy={entropy:.6f} "
                     "load={load:.6f} total={total:.6f} tokens_per_sec={tokens_per_sec:.0f}\n".format(**entry)
                 )
-            if state.global_step == len(steps) or steps[state.global_step][0] != epoch:
-                state.epochs_done = epoch
-                if checkpoint_path is not None:
-                    ckpt_path = checkpoint_path.format(epoch=epoch)
-                    save_checkpoint(
-                        ckpt_path,
-                        model,
-                        provenance={n: "trained" for n in params},
-                        train_config=cfg.to_dict(),
-                        rng=state.model_rng,
-                        opt_tensors=state.opt.tensors(),
-                        extra={
-                            "opt_step": state.opt.step,
-                            "global_step": state.global_step,
-                            "epochs_done": state.epochs_done,
-                            "data_rng": {"seed": state.data_rng.seed, "position": state.data_rng.position},
-                        },
-                    )
-                    report.checkpoints.append(ckpt_path)
+            if checkpoint_path is not None and (opt.step == len(steps) or steps[opt.step][0] != epoch):
+                ckpt_path = checkpoint_path.format(epoch=epoch)
+                save_checkpoint(
+                    ckpt_path,
+                    model,
+                    provenance={n: "trained" for n in params},
+                    train_config=cfg.to_dict(),
+                    rng=state.model_rng,
+                    opt_tensors=opt.tensors(),
+                    extra={"global_step": opt.step},
+                )
+                report.checkpoints.append(ckpt_path)
     return report
 
 
 def state_from_checkpoint(ckpt) -> TrainState:
-    """Rebuild a TrainState from a loaded Checkpoint for bit-exact resume."""
-    extra = ckpt.extra
-    data_rng_info = extra["data_rng"]
-    return TrainState(
-        opt=OptimizerState.from_tensors(ckpt.opt_tensors, step=extra["opt_step"]),
-        data_rng=RngState(data_rng_info["seed"], 0),  # plan is re-derived from position 0
-        model_rng=ckpt.rng.clone(),
-        global_step=extra["global_step"],
-        epochs_done=extra["epochs_done"],
-    )
+    """The TrainState an epoch checkpoint resumes from: its ``extra["global_step"]``, AdamW moments and ``rng``.
+
+    Older checkpoints' ``opt_step``, ``epochs_done`` and ``data_rng`` extras are
+    ignored: a resumed run plans its batches from its own ``cfg.seed``. A
+    checkpoint without the step count or the moments raises CheckpointError.
+    """
+    lacks = [] if "global_step" in ckpt.extra else ['extra["global_step"]']
+    lacks += [f"{k}.{n}" for n in ckpt.model.named_params() for k in "mv" if f"{k}.{n}" not in ckpt.opt_tensors]
+    if lacks:
+        more = f" and {len(lacks) - 3} more" if len(lacks) > 3 else ""
+        raise CheckpointError(f"no training state to resume: missing {', '.join(lacks[:3])}{more}; an epoch checkpoint "
+                              "of train holds it, and load_checkpoint(path, moments=True) reads the moments")
+    return TrainState(OptimizerState.from_tensors(ckpt.opt_tensors, ckpt.extra["global_step"]), ckpt.rng.clone())
 
 
 # -- two-phase regimen -----------------------------------------------------

@@ -77,6 +77,24 @@ def workdir(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def path_ckpts(workdir):
+    """path1.ppck and path2.ppck in ``workdir``, trained through ``main`` on first use."""
+    out = workdir / "path1.ppck", workdir / "path2.ppck"
+    for role, ckpt in zip(("path1", "path2"), out):
+        assert main(["train", "--config", str(workdir / "path.yaml"), "--data", str(workdir / "store.ppch"),
+                     "--role", role, "--seed", "11", "--out", str(ckpt)]) == 0
+    return tuple(map(str, out))
+
+
+@pytest.fixture(scope="module")
+def composite_ckpt(workdir, path_ckpts):
+    """composite.ppck and its provenance file in ``workdir``, composed through ``main`` on first use."""
+    out = str(workdir / "composite.ppck")
+    assert main(["compose", *path_ckpts, "--config", str(workdir / "gumbel.yaml"), "--out", out]) == 0
+    return out
+
+
 class TestPretokenize:
     def test_reports_four_sub_collections(self, workdir, capsys):
         assert main(["pretokenize", "--synthetic", "30", "--seq-len", "16", "--out", str(workdir / "s2.ppch")]) == 0
@@ -250,10 +268,10 @@ def seed_argv(workdir, verb: str, seed: str) -> list:
 
 
 class TestCompose:
-    def test_compose_then_analyze_and_generate(self, workdir, capsys):
+    def test_compose_then_analyze_and_generate(self, workdir, path_ckpts, capsys):
         composite = str(workdir / "composite.ppck")
         rc = main([
-            "compose", str(workdir / "path1.ppck"), str(workdir / "path2.ppck"),
+            "compose", *path_ckpts,
             "--config", str(workdir / "gumbel.yaml"), "--out", composite,
         ])
         assert rc == 0
@@ -274,46 +292,44 @@ class TestCompose:
         out = capsys.readouterr().out
         assert "next token predictions" in out and "%" in out
 
-    def test_empty_prompts_exit_data(self, workdir, capsys):
-        composite = str(workdir / "composite.ppck")
+    def test_empty_prompts_exit_data(self, workdir, composite_ckpt, capsys):
         store = str(workdir / "store.ppch")
-        rc = main(["generate", "--checkpoint", composite, "--data", store, "--prompt", ""])
+        rc = main(["generate", "--checkpoint", composite_ckpt, "--data", store, "--prompt", ""])
         assert rc == EXIT_DATA
         assert "empty prompt" in capsys.readouterr().err
         (workdir / "empty_prompt.tsv").write_text("story\tOnce upon a time\nmath\t \n")
-        rc = main(["analyze", "--checkpoint", composite, "--data", store, "--prompts", str(workdir / "empty_prompt.tsv")])
+        rc = main(["analyze", "--checkpoint", composite_ckpt, "--data", store, "--prompts", str(workdir / "empty_prompt.tsv")])
         assert rc == EXIT_DATA
         assert "empty prompt" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [("--top-n", "0"), ("--top-n", "-1"), ("--max-new-tokens", "-3")])
-    def test_bad_generate_counts_exit_config(self, workdir, capsys, flag, value):
-        rc = main(["generate", "--checkpoint", str(workdir / "composite.ppck"), "--data", str(workdir / "store.ppch"),
+    def test_bad_generate_counts_exit_config(self, workdir, composite_ckpt, capsys, flag, value):
+        rc = main(["generate", "--checkpoint", composite_ckpt, "--data", str(workdir / "store.ppch"),
                    "--prompt", "Once upon a time", flag, value])
         assert rc == EXIT_CONFIG
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
     @pytest.mark.parametrize("store_args", [["--synthetic", "5"], ["--synthetic", "40", "--corpus"]],
                              ids=["smaller", "larger"])
-    def test_store_vocab_other_than_the_models_exits_data(self, workdir, capsys, store_args):
+    def test_store_vocab_other_than_the_models_exits_data(self, workdir, composite_ckpt, capsys, store_args):
         if store_args[-1] == "--corpus":  # the shared store's corpora plus words they never use
             extra = workdir / "extra_words.txt"
             extra.write_text("".join(f"word{i} " * 4 + "\n" for i in range(20)))
             store_args = [*store_args, f"extra={extra}"]
         store = str(workdir / f"other_vocab_{len(store_args)}.ppch")
         assert main(["pretokenize", *store_args, "--seq-len", "16", "--seed", "7", "--out", store]) == 0
-        composite = str(workdir / "composite.ppck")
         have = ChunkStore.load(store).tokenizer.vocab_size
-        want = read_manifest(composite)["model_config"]["vocab_size"]
+        want = read_manifest(composite_ckpt)["model_config"]["vocab_size"]
         assert have != want
         capsys.readouterr()
         verbs = (["generate", "--prompt", "Once upon a time"], ["analyze", "--prompts", str(workdir / "prompts.tsv")])
         for verb in verbs:
-            assert main([*verb, "--checkpoint", composite, "--data", store]) == EXIT_DATA
+            assert main([*verb, "--checkpoint", composite_ckpt, "--data", store]) == EXIT_DATA
             out, err = capsys.readouterr()
             assert out == "" and f"vocab has {have} words, the checkpoint's model {want}" in err
 
     @pytest.mark.parametrize("verb", ["train", "generate"])
-    def test_store_written_with_byte_fallback_exits_data(self, workdir, capsys, verb):
+    def test_store_written_with_byte_fallback_exits_data(self, workdir, composite_ckpt, capsys, verb):
         store = workdir / "byte_fallback_store.ppch"
         saved = (workdir / "store.ppch").read_bytes()
         assert saved.count(b'"byte_fallback": false') == 1
@@ -321,7 +337,7 @@ class TestCompose:
         argv = {
             "train": ["train", "--config", str(workdir / "path.yaml"), "--role", "path1",
                       "--out", str(workdir / "byte_fallback.ppck")],
-            "generate": ["generate", "--checkpoint", str(workdir / "composite.ppck"), "--prompt", "Once upon a time"],
+            "generate": ["generate", "--checkpoint", composite_ckpt, "--prompt", "Once upon a time"],
         }[verb]
         assert main([*argv, "--data", str(store)]) == EXIT_DATA
         out, err = capsys.readouterr()
@@ -330,7 +346,7 @@ class TestCompose:
         assert "malformed" not in err
         assert not (workdir / "byte_fallback.ppck").exists()
 
-    def test_plan_validated_once(self, workdir, monkeypatch):
+    def test_plan_validated_once(self, workdir, path_ckpts, monkeypatch):
         calls = []
         real = composer.validate_plan
 
@@ -341,19 +357,18 @@ class TestCompose:
         monkeypatch.setattr(composer, "validate_plan", counting)
         monkeypatch.setattr(cli, "validate_plan", counting, raising=False)  # in case the verb imports it by name
         rc = main([
-            "compose", str(workdir / "path1.ppck"), str(workdir / "path2.ppck"),
+            "compose", *path_ckpts,
             "--config", str(workdir / "gumbel.yaml"), "--out", str(workdir / "once.ppck"),
         ])
         assert rc == 0
         assert len(calls) == 1
 
-    def test_pinned_vocab_follows_path_checkpoints(self, workdir, capsys):
+    def test_pinned_vocab_follows_path_checkpoints(self, workdir, path_ckpts, capsys):
         pinned = workdir / "gumbel_pinned.yaml"
         pinned.write_text(TINY_MODEL.format(n_parallel=1, kind="gumbel_v1").replace("model:\n", "model:\n  vocab_size: 50257\n"))
         out = str(workdir / "pinned.ppck")
-        assert main(["compose", str(workdir / "path1.ppck"), str(workdir / "path2.ppck"),
-                     "--config", str(pinned), "--out", out]) == 0
-        path_vocab = read_manifest(str(workdir / "path1.ppck"))["model_config"]["vocab_size"]
+        assert main(["compose", *path_ckpts, "--config", str(pinned), "--out", out]) == 0
+        path_vocab = read_manifest(path_ckpts[0])["model_config"]["vocab_size"]
         assert read_manifest(out)["model_config"]["vocab_size"] == path_vocab
         err = capsys.readouterr().err
         assert "config's 50257" in err and f"data's {path_vocab}" in err
@@ -389,33 +404,33 @@ class TestCompose:
         assert out == "" and "--seed: must be >= 0, got -1" in err
         assert not (workdir / "badseed.ppck").exists() and not (workdir / "badseed.ppch").exists()
 
-    def test_provenance_file_matches_checkpoint(self, workdir):
-        provenance = json.loads((workdir / "composite.ppck.provenance.json").read_text())
-        manifest = read_manifest(str(workdir / "composite.ppck"))
+    def test_provenance_file_matches_checkpoint(self, composite_ckpt):
+        provenance = json.loads(Path(composite_ckpt + ".provenance.json").read_text())
+        manifest = read_manifest(composite_ckpt)
         assert provenance == {e["name"]: e["provenance"] for e in manifest["tensors"]}
         assert set(provenance.values()) == {"concatenated", "reused", "fresh"}
 
-    def test_finetune_from_composed_checkpoint(self, workdir, capsys):
+    def test_finetune_from_composed_checkpoint(self, workdir, composite_ckpt, capsys):
         rc = main([
             "train", "--config", str(workdir / "gumbel.yaml"), "--data", str(workdir / "store.ppch"),
-            "--role", "composite", "--init", str(workdir / "composite.ppck"),
+            "--role", "composite", "--init", composite_ckpt,
             "--out", str(workdir / "final.ppck"),
         ])
         assert rc == 0
         assert "trained 2 steps" in capsys.readouterr().out
 
-    def test_init_config_mismatch(self, workdir, capsys):
+    def test_init_config_mismatch(self, workdir, composite_ckpt, capsys):
         rc = main([
             "train", "--config", str(workdir / "path.yaml"), "--data", str(workdir / "store.ppch"),
-            "--init", str(workdir / "composite.ppck"), "--out", str(workdir / "x.ppck"),
+            "--init", composite_ckpt, "--out", str(workdir / "x.ppck"),
         ])
         assert rc == EXIT_CONFIG
         assert "does not match" in capsys.readouterr().err
 
-    def test_unreadable_path_checkpoint_exits_composition_in_any_position(self, workdir, capsys):
+    def test_unreadable_path_checkpoint_exits_composition_in_any_position(self, workdir, path_ckpts, capsys):
         bad = workdir / "nope.ppck"
         bad.write_bytes(b"NOPE" + b"\x00" * 64)
-        good = str(workdir / "path1.ppck")
+        good = path_ckpts[0]
         for i, paths in enumerate(([str(bad), good], [good, str(bad)]), start=1):
             out = workdir / f"nope-composite{i}.ppck"
             argv = ["compose", *paths, "--config", str(workdir / "gumbel.yaml"), "--out", str(out)]
@@ -423,9 +438,9 @@ class TestCompose:
             assert f"path {i}: unreadable checkpoint" in capsys.readouterr().err
             assert not out.exists()
 
-    def test_wrong_checkpoint_count(self, workdir, capsys):
+    def test_wrong_checkpoint_count(self, workdir, path_ckpts, capsys):
         rc = main([
-            "compose", str(workdir / "path1.ppck"),
+            "compose", path_ckpts[0],
             "--config", str(workdir / "gumbel.yaml"), "--out", str(workdir / "bad.ppck"),
         ])
         assert rc == EXIT_COMPOSITION
@@ -443,8 +458,8 @@ class TestCompose:
         assert f"path 2: {key}={value} != target {target_key}=" in capsys.readouterr().err
         assert not list(workdir.glob(f"{key}-composite*"))
 
-    def test_inspect_checkpoint(self, workdir, capsys):
-        rc = main(["inspect-checkpoint", str(workdir / "composite.ppck")])
+    def test_inspect_checkpoint(self, composite_ckpt, capsys):
+        rc = main(["inspect-checkpoint", composite_ckpt])
         assert rc == 0
         out = capsys.readouterr().out
         assert "total scalars" in out and "[concatenated]" in out
@@ -472,10 +487,10 @@ class HalfWrittenFile:
         self.f.close()
 
 
-def artifact_writer(workdir, out, suffix: str) -> tuple:
+def artifact_writer(workdir, path_ckpts, out, suffix: str) -> tuple:
     """The argv of the verb that writes the artifact with ``suffix`` into ``out``, and its path."""
     pretokenize = ["pretokenize", "--synthetic", "20", "--seq-len", "16", "--out", str(out / "s.ppch")]
-    compose = ["compose", str(workdir / "path1.ppck"), str(workdir / "path2.ppck"),
+    compose = ["compose", *path_ckpts,
                "--config", str(workdir / "gumbel.yaml"), "--out", str(out / "c.ppck")]
     return {
         ".ppch": (pretokenize, out / "s.ppch"),
@@ -488,10 +503,10 @@ class TestArtifactsReplacedNotTruncated:
     """A write that fails midway leaves the last good file byte for byte, and no temp file."""
 
     @pytest.mark.parametrize("suffix", [".ppch", ".ppck", ".provenance.json"])
-    def test_failed_write_keeps_old_file(self, workdir, monkeypatch, capsys, suffix):
+    def test_failed_write_keeps_old_file(self, workdir, path_ckpts, monkeypatch, capsys, suffix):
         out = workdir / "replaced"
         out.mkdir(exist_ok=True)
-        argv, target = artifact_writer(workdir, out, suffix)
+        argv, target = artifact_writer(workdir, path_ckpts, out, suffix)
         assert main([*argv, "--seed", "3"]) == 0
         old = target.read_bytes()
         real_open = open
@@ -507,10 +522,10 @@ class TestArtifactsReplacedNotTruncated:
         assert not list(out.glob("*.tmp"))
 
     @pytest.mark.parametrize("suffix", [".ppch", ".ppck", ".provenance.json"])
-    def test_rewrite_keeps_the_old_mode_and_a_new_file_gets_the_umask_default(self, workdir, suffix):
+    def test_rewrite_keeps_the_old_mode_and_a_new_file_gets_the_umask_default(self, workdir, path_ckpts, suffix):
         out = workdir / f"modes{suffix}"
         out.mkdir()
-        argv, target = artifact_writer(workdir, out, suffix)
+        argv, target = artifact_writer(workdir, path_ckpts, out, suffix)
         umask = os.umask(0)
         os.umask(umask)
         assert main(argv) == 0

@@ -13,7 +13,7 @@ import pytest
 
 from papaformer import trainer
 from papaformer.blocks import ConfigError
-from papaformer.checkpoint import load_checkpoint
+from papaformer.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from papaformer.data import build_chunk_store, synthetic_math_corpus, synthetic_story_corpus
 from papaformer.losses import cross_entropy
 from papaformer.model import ModelConfig, build, forward
@@ -28,6 +28,7 @@ from papaformer.trainer import (
     state_from_checkpoint,
     train,
 )
+from test_checkpoint import rewrite_manifest
 
 
 def tiny_cfg(**overrides):
@@ -348,7 +349,7 @@ class TestResume:
 
         ckpt = load_checkpoint(str(tmp_path / "ep1.ppck"), moments=True)
         state = state_from_checkpoint(ckpt)
-        assert state.epochs_done == 1
+        assert ckpt.extra == {"global_step": 2} and state.opt.step == 2
         for key, moment in state.opt.tensors().items():
             assert np.shares_memory(moment, ckpt.opt_tensors[key]), key  # the loaded arrays, not copies
         resumed = train(ckpt.model, chunks, cfg, state=state)
@@ -367,8 +368,8 @@ class TestResume:
         assert full.checkpoints == [str(tmp_path / "ep1.ppck"), str(tmp_path / "ep2.ppck")]
         assert len(full.steps) == 3
         first, last = (load_checkpoint(p, moments=True) for p in full.checkpoints)
-        assert (first.extra["global_step"], first.extra["epochs_done"]) == (2, 1)
-        assert (last.extra["global_step"], last.extra["epochs_done"]) == (3, 2)
+        assert first.extra == {"global_step": 2}
+        assert last.extra == {"global_step": 3}
 
         resumed = train(first.model, chunks, cfg, state=state_from_checkpoint(first),
                         checkpoint_path=str(tmp_path / "resumed{epoch}.ppck"))
@@ -394,8 +395,38 @@ class TestResume:
         ckpt = load_checkpoint(str(tmp_path / "last.ppck"), moments=True)
         for name, p in model.named_params().items():
             assert np.array_equal(p.data, ckpt.model.named_params()[name].data)
-        assert ckpt.extra["epochs_done"] == 2
+        assert ckpt.extra == {"global_step": 4}
         assert any(n.startswith("m.") for n in ckpt.opt_tensors)
+
+    def test_checkpoint_with_the_older_extra_keys_resumes_bit_exactly(self, store, tmp_path):
+        # epoch checkpoints written before the step counter was unified carried these extras too
+        cfg = tiny_cfg()
+        chunks = subset(store, 8)
+        full = train(build(small_model_config(store.tokenizer.vocab_size), RngState(0)), chunks, cfg,
+                     checkpoint_path=str(tmp_path / "ep{epoch}.ppck"))
+        older = {"opt_step": 2, "epochs_done": 1, "data_rng": {"seed": cfg.seed, "position": 2}}
+        rewrite_manifest(tmp_path / "ep1.ppck", lambda man: man["extra"].update(older))
+        ckpt = load_checkpoint(str(tmp_path / "ep1.ppck"), moments=True)
+        assert ckpt.extra == {"global_step": 2, **older}
+
+        resumed = train(ckpt.model, chunks, cfg, state=state_from_checkpoint(ckpt),
+                        checkpoint_path=str(tmp_path / "resumed{epoch}.ppck"))
+        assert resumed.losses == full.losses[2:]
+        assert (tmp_path / "resumed2.ppck").read_bytes() == (tmp_path / "ep2.ppck").read_bytes()
+
+    def test_checkpoint_without_a_step_count_raises_at_the_call(self, store, tmp_path):
+        model = build(small_model_config(store.tokenizer.vocab_size), RngState(0))
+        save_checkpoint(str(tmp_path / "plain.ppck"), model)
+        ckpt = load_checkpoint(str(tmp_path / "plain.ppck"), moments=True)
+        with pytest.raises(CheckpointError, match=r'missing extra\["global_step"\], m\.embed, v\.embed and \d+ more'):
+            state_from_checkpoint(ckpt)
+
+    def test_checkpoint_loaded_without_moments_raises_at_the_call(self, store, tmp_path):
+        model = build(small_model_config(store.tokenizer.vocab_size), RngState(0))
+        train(model, subset(store, 8), tiny_cfg(), checkpoint_path=str(tmp_path / "last.ppck"))
+        ckpt = load_checkpoint(str(tmp_path / "last.ppck"))
+        with pytest.raises(CheckpointError, match=r"missing m\.embed, .*load_checkpoint\(path, moments=True\)"):
+            state_from_checkpoint(ckpt)
 
 
 def composite_checkpoint(path) -> bytes:
@@ -422,9 +453,10 @@ def numpy_platform() -> dict:
 
 # sha256 of composite_checkpoint, taken with one BLAS thread on this platform:
 # the weights of before backward freed the graph as it walked, under a manifest
-# whose train_config has no retired loss-sign keys. OpenBLAS picks its kernels per
+# whose train_config has no retired loss-sign keys and whose extra holds only
+# global_step. OpenBLAS picks its kernels per
 # CPU and may split a GEMM per thread, so elsewhere the bits may differ.
-PINNED_DIGEST = "d6ab6dc7bcd485a74b477bb24ebd6caedc6787ce3e17f6e74e6bf47dab671826"
+PINNED_DIGEST = "172f7d3e16425d161553aeeaf05e093600dfbc673caed5dd045e1cf4063ab2c5"
 PINNED_PLATFORM = {
     "machine": "x86_64",
     "numpy": "2.4.6",
