@@ -183,9 +183,10 @@ class GenerationResult:
         return tokenizer.detokenize(np.asarray(self.tokens, dtype=np.uint32))
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.float64) - z.max()
-    e = np.exp(z)
+def _softmax(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """softmax(z / temperature) in float64; the max goes first, so a tiny temperature leaves one at the argmax."""
+    with np.errstate(over="ignore"):  # a gap over a tiny temperature overflows to -inf, whose exp is the 0 wanted
+        e = np.exp((z.astype(np.float64) - z.max()) / temperature)
     return e / e.sum()
 
 
@@ -200,7 +201,9 @@ def generate(
     """Continue a prompt, with per-step top-n probabilities.
 
     A temperature above 0 samples from the softmax of logits / temperature,
-    which needs an ``rng``; any other (0, below 0, NaN) decodes greedily. The
+    taken in float64 after the max logit is subtracted, so a temperature too
+    small to divide by in float32 picks the likeliest token; sampling needs an
+    ``rng``. Any other temperature (0, below 0, NaN) decodes greedily. The
     prompt runs through the model once, filling a K/V cache; each later step
     runs only the token just picked. Contexts longer than max_seq_len are
     truncated from the left with a warning, keeping the most recent tokens
@@ -231,7 +234,7 @@ def generate(
         probs = _softmax(logits.data[-1])
         order = np.argsort(-probs)
         if temperature > 0:
-            scaled = _softmax(logits.data[-1] / temperature)
+            scaled = _softmax(logits.data[-1], temperature)
             u = float(rng.uniform(()))
             nxt = int(np.searchsorted(np.cumsum(scaled), u))
         else:

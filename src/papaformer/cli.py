@@ -37,8 +37,8 @@ from papaformer.checkpoint import CheckpointError, load_checkpoint, read_manifes
 from papaformer.composer import CompositionError, CompositionPlan, compose, composition_provenance, weight_source
 from papaformer.data import (
     COMPOSITE_SUB,
-    PATH_CORPORA,
     PATH_SUB,
+    ROLES,
     ChunkStore,
     DataError,
     build_chunk_store,
@@ -59,13 +59,6 @@ EXIT_NUMERICAL = 4
 EXIT_COMPOSITION = 5
 
 _CONFIG_SECTIONS = ("model", "train")
-
-ROLES = {
-    "baseline": {},
-    **{f"path{i + 1}": {"corpus": corpus, "sub": PATH_SUB} for i, corpus in enumerate(PATH_CORPORA)},
-    "composite": {"sub": COMPOSITE_SUB},
-}
-
 
 def _preset_path(name: str):
     res = importlib.resources.files("papaformer") / "configs" / f"{name}.yaml"
@@ -154,7 +147,9 @@ def cmd_train(args) -> int:
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     log_path = args.log or args.out + ".log"
     with open(log_path, "w", encoding="utf-8") as log:
-        report = train(model, chunks, cfg, checkpoint_path=args.out, log_file=log)
+        # train() formats its checkpoint path with {epoch}; --out is written as given
+        literal = args.out.replace("{", "{{").replace("}", "}}")
+        report = train(model, chunks, cfg, checkpoint_path=literal, log_file=log)
     print(f"trained {len(report.steps)} steps; final total loss {report.losses[-1]:.4f}")
     print(f"checkpoint: {args.out}")
     print(f"log: {log_path}")

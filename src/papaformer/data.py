@@ -2,11 +2,14 @@
 
 A word's token id is its vocabulary id, or UNK for a word not in the vocab.
 Documents are joined into one contiguous token stream per corpus with an
-EOS separator after every document, then tiled into fixed-length chunks
-(256 tokens by default) from a random per-epoch start offset so the two
-training epochs cover disjoint spans. Chunks are partitioned 60/40 per
-corpus; standalone paths train on the 60% sub-collections, composed models
-on the 40% remainder, baselines on everything.
+EOS separator after every document. ``two_epoch_chunks`` tiles each stream
+into fixed-length chunks (256 tokens by default) once per training epoch,
+from two distinct random start offsets it draws, so the two epochs cover
+disjoint spans. ``split_collections`` tags each corpus's chunks 60/40 in
+place, and ``ROLES`` names the chunks each training role selects: a path
+its corpus's 60% sub-collection, a composite every corpus's 40% remainder,
+a baseline everything. Training an epoch that no given chunk belongs to
+raises DataError.
 """
 
 from __future__ import annotations
@@ -34,6 +37,12 @@ _STORE_HEADER = struct.Struct("<4sIIQ")  # magic, version, seq_len, chunk count
 # composites train on the COMPOSITE_SUB remainder of every corpus.
 PATH_CORPORA = ("story", "math")
 PATH_SUB, COMPOSITE_SUB = 60, 40
+# each training role's ChunkStore.select arguments
+ROLES = {
+    "baseline": {},
+    **{f"path{i + 1}": {"corpus": corpus, "sub": PATH_SUB} for i, corpus in enumerate(PATH_CORPORA)},
+    "composite": {"sub": COMPOSITE_SUB},
+}
 
 EOS_TOKEN = "<eos>"
 UNK_TOKEN = "<unk>"
@@ -186,56 +195,36 @@ def build_stream(corpus: Corpus, tokenizer: ToyTokenizer) -> np.ndarray:
     return np.frombuffer(ids, dtype=np.uint32)
 
 
-def chunk_stream(
-    stream: np.ndarray,
-    seq_len: int,
-    epoch: int,
-    rng: RngState,
-    corpus_tag: str = "",
-    offset: int | None = None,
-    forbidden_offset: int | None = None,
-) -> list:
-    """Tile non-overlapping seq_len windows from a random start offset.
+def two_epoch_chunks(stream: np.ndarray, seq_len: int, rng: RngState, corpus_tag: str) -> list:
+    """Both epochs' chunkings: non-overlapping seq_len windows from two distinct random start offsets.
 
-    The chunks' tokens are the rows of one [n, seq_len] copy of the stream.
-    The offset is drawn in [0, seq_len); passing the other epoch's offset as
-    ``forbidden_offset`` guarantees the two chunkings share no [start, end)
-    span. The trailing remainder is dropped.
+    The first offset is drawn in [0, seq_len), then the second until it
+    differs, so the two chunkings share no [start, end) span. Each epoch's
+    chunks are the rows of one [n, seq_len] copy of the stream; the trailing
+    remainder is dropped.
     """
     if len(stream) < 2 * seq_len:
         raise DataError(f"stream of {len(stream)} tokens is too short for seq_len {seq_len}")
-    if offset is None:
-        offset = int(rng.integers(0, seq_len))
-        while forbidden_offset is not None and offset == forbidden_offset:
-            offset = int(rng.integers(0, seq_len))
-    starts = range(offset, len(stream) - seq_len + 1, seq_len)
-    rows = stream[offset : offset + len(starts) * seq_len].reshape(len(starts), seq_len).copy()
-    return [Chunk(tokens=row, corpus=corpus_tag, epoch=epoch, start=start) for row, start in zip(rows, starts)]
+    first = second = int(rng.integers(0, seq_len))
+    while second == first:
+        second = int(rng.integers(0, seq_len))
+    chunks = []
+    for epoch, offset in ((1, first), (2, second)):
+        n = (len(stream) - offset) // seq_len
+        rows = stream[offset : offset + n * seq_len].reshape(n, seq_len).copy()
+        chunks.extend(Chunk(row, corpus_tag, epoch, offset + i * seq_len) for i, row in enumerate(rows))
+    return chunks
 
 
-def two_epoch_chunks(stream: np.ndarray, seq_len: int, rng: RngState, corpus_tag: str) -> list:
-    """Both epochs' chunkings with guaranteed distinct offsets."""
-    first = chunk_stream(stream, seq_len, 1, rng, corpus_tag)
-    second = chunk_stream(stream, seq_len, 2, rng, corpus_tag, forbidden_offset=first[0].start % seq_len)
-    return first + second
+def split_collections(chunks: list, rng: RngState) -> None:
+    """Tag a random 60% of ``chunks`` PATH_SUB and the rest COMPOSITE_SUB, in place, from one permutation.
 
-
-def split_collections(chunks: list, rng: RngState) -> tuple:
-    """Random disjoint (60%, 40%) partition; tags each chunk in place.
-
-    Splitting is per (corpus, epoch is ignored): callers pass one corpus's
-    chunks at a time when per-corpus splits are required.
+    Callers pass one corpus's chunks at a time; the epoch is ignored.
     """
-    n = len(chunks)
-    order = rng.permutation(n)
-    n60 = round(0.6 * n)
-    sub60 = [chunks[i] for i in order[:n60]]
-    sub40 = [chunks[i] for i in order[n60:]]
-    for c in sub60:
-        c.sub_collection = PATH_SUB
-    for c in sub40:
-        c.sub_collection = COMPOSITE_SUB
-    return sub60, sub40
+    order = rng.permutation(len(chunks))
+    n60 = round(0.6 * len(chunks))
+    for rank, i in enumerate(order):
+        chunks[i].sub_collection = PATH_SUB if rank < n60 else COMPOSITE_SUB
 
 
 def make_batches(chunk_sets: list, batch_size: int, rng: RngState) -> list:

@@ -22,7 +22,7 @@ import numpy as np
 
 from papaformer.blocks import ConfigError, read_config
 from papaformer.checkpoint import CheckpointError, save_checkpoint
-from papaformer.data import COMPOSITE_SUB, PATH_CORPORA, PATH_SUB, ChunkStore, make_batches
+from papaformer.data import PATH_CORPORA, ROLES, ChunkStore, DataError, make_batches
 from papaformer.losses import DEFAULT_LAMBDA, cross_entropy, total_loss
 from papaformer.model import ModelConfig, PaPaformerModel, _claim_cpus, _usable_cpus, build, forward
 from papaformer.parallel import GumbelParams
@@ -188,13 +188,6 @@ class TrainReport:
         return [s["total"] for s in self.steps]
 
 
-def _plan_epoch(chunks: list, epoch: int, cfg: TrainConfig, data_rng: RngState) -> list:
-    pool = [c for c in chunks if c.epoch == epoch]
-    if not pool:
-        pool = list(chunks)  # chunk sets without epoch-distinct chunkings
-    return make_batches([pool], cfg.batch_size, data_rng)
-
-
 def _micro_step(model: PaPaformerModel, batch: list, rng: RngState, cfg: TrainConfig, step: int) -> tuple:
     """One micro-batch: forward, loss, and the backward of loss/accum into a fresh sink.
 
@@ -225,11 +218,14 @@ def train(
 ) -> TrainReport:
     """Train ``model`` on the given chunks; deterministic under cfg.seed.
 
-    Every epoch's batches are planned up front from ``RngState(cfg.seed)``
-    and cut into optimizer steps of ``grad_accum_steps`` micro-batches each;
-    the steps of all epochs form one list, cut to ``max_steps``, whose length
-    is the lr schedule's horizon. An epoch checkpoint is written after the
-    last step of each epoch in the list, with ``extra={"global_step": n}``.
+    Epoch e trains on the chunks whose ``epoch`` is e; an epoch that none of
+    them belongs to raises DataError. Every epoch's batches are planned up
+    front from ``RngState(cfg.seed)`` and cut into optimizer steps of
+    ``grad_accum_steps`` micro-batches each; the steps of all epochs form one
+    list, cut to ``max_steps``, whose length is the lr schedule's horizon. An
+    epoch checkpoint is written after the last step of each epoch in the
+    list, with ``extra={"global_step": n}``, to ``checkpoint_path``: a
+    ``str.format`` template, whose ``{epoch}`` field names the epoch.
 
     Resuming: pass the ``TrainState`` that ``state_from_checkpoint`` rebuilds
     from an epoch checkpoint; planning replays the seeded batch order and the
@@ -252,7 +248,10 @@ def train(
     accum = cfg.grad_accum_steps
     steps = []  # (epoch, micro-batches) per optimizer step
     for epoch in range(1, cfg.epochs + 1):
-        plan = _plan_epoch(chunks, epoch, cfg, data_rng)
+        pool = [c for c in chunks if c.epoch == epoch]
+        if not pool:
+            raise DataError(f"epoch {epoch}: none of the {len(chunks)} chunks given belongs to it")
+        plan = make_batches([pool], cfg.batch_size, data_rng)
         report.planned.extend((c.corpus, c.sub_collection, c.epoch, c.start) for batch in plan for c in batch)
         steps.extend((epoch, plan[i : i + accum]) for i in range(0, len(plan) - accum + 1, accum))
     steps = steps[: cfg.max_steps]
@@ -354,14 +353,14 @@ def run_phase2(
     path_ckpts = {}
     for depth in depths:
         pc = ModelConfig.from_dict({**path_config.to_dict(), "n_layer_blocks": depth})
-        for i, corpus in enumerate(PATH_CORPORA):
-            name = f"path{i + 1}_d{depth}"
+        for i in range(1, len(PATH_CORPORA) + 1):
+            name = f"path{i}_d{depth}"
             model = build(pc, RngState(build_seed))
             ckpt_path = os.path.join(out_dir, f"{name}.ppck")
-            reports[name] = train(model, store.select(corpus=corpus, sub=PATH_SUB), cfg, checkpoint_path=ckpt_path)
+            reports[name] = train(model, store.select(**ROLES[f"path{i}"]), cfg, checkpoint_path=ckpt_path)
             path_ckpts.setdefault(depth, []).append(ckpt_path)
             artifacts[name] = ckpt_path
-    sub40 = store.select(sub=COMPOSITE_SUB)
+    sub40 = store.select(**ROLES["composite"])
     for run_name, target in target_configs.items():
         plan = CompositionPlan(path_checkpoints=path_ckpts[target.n_parallel_layers], target_config=target)
         composite = compose(plan, RngState(build_seed + 1))
@@ -369,11 +368,6 @@ def run_phase2(
         save_checkpoint(composed_path, composite, provenance=composition_provenance(composite))
         artifacts[f"{run_name}_composed"] = composed_path
         ckpt_path = os.path.join(out_dir, f"{run_name}.ppck")
-        report = train(composite, sub40, cfg, checkpoint_path=ckpt_path)
-        # composite training must touch only the 40% sub-collections
-        bad = [c for c in report.consumed if c[1] != COMPOSITE_SUB]
-        if bad:
-            raise ConfigError(f"composite run {run_name} consumed non-40% chunks: {bad[:3]}")
+        reports[run_name] = train(composite, sub40, cfg, checkpoint_path=ckpt_path)
         artifacts[run_name] = ckpt_path
-        reports[run_name] = report
     return artifacts, reports

@@ -267,6 +267,15 @@ class TestGenerate:
         nan = generate(gumbel_model, PROMPT, 4, temperature=float("nan"), rng=RngState(0))
         assert nan.new_tokens == greedy.new_tokens
 
+    @pytest.mark.parametrize("temperature", [1e-40, 1e-300, 5e-324])
+    def test_tiny_temperature_samples_the_greedy_tokens(self, gumbel_model, temperature):
+        greedy = generate(gumbel_model, PROMPT, 6)
+        assert any(greedy.new_tokens)  # id 0 everywhere would not tell the two apart
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cold = generate(gumbel_model, PROMPT, 6, temperature=temperature, rng=RngState(0))
+        assert cold.new_tokens == greedy.new_tokens
+
     def test_step_probabilities_normalized(self, gumbel_model):
         result = generate(gumbel_model, PROMPT, 3, top_n=4)
         for step in result.steps:
@@ -331,7 +340,7 @@ def uncached_generate(model, prompt, n, temperature, rng):
         if temperature <= 0:
             nxt = int(order[0])
         else:
-            nxt = int(np.searchsorted(np.cumsum(_softmax(logits.data[-1] / temperature)), float(rng.uniform(()))))
+            nxt = int(np.searchsorted(np.cumsum(_softmax(logits.data[-1], temperature)), float(rng.uniform(()))))
         steps.append((nxt, [float(probs[t]) for t in order[:5]]))
         tokens.append(nxt)
     return steps

@@ -158,6 +158,26 @@ class TestTrain:
         ])
         assert rc == 0
 
+    @pytest.mark.parametrize("name", ["run{1}.ppck", "ep{epoch}.ppck"])
+    def test_out_is_a_literal_path(self, workdir, tmp_path, capsys, name):
+        out = tmp_path / name
+        rc = main(["train", "--config", str(workdir / "path.yaml"), "--data", str(workdir / "store.ppch"),
+                   "--role", "path1", "--seed", "11", "--out", str(out)])
+        assert rc == 0
+        assert f"checkpoint: {out}\n" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name, name + ".log"]
+        assert read_manifest(str(out))["extra"] == {"global_step": 2}
+
+    def test_an_epoch_without_chunks_exits_data_naming_it(self, workdir, capsys):
+        three = workdir / "three_epochs.yaml"
+        three.write_text(TINY_PATH.replace("epochs: 1", "epochs: 3"))
+        out = workdir / "three_epochs.ppck"
+        rc = main(["train", "--config", str(three), "--data", str(workdir / "store.ppch"), "--role", "path1",
+                   "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert "epoch 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_vocab_below_store_vocab(self, workdir, capsys):
         small = workdir / "small_vocab.yaml"
         small.write_text(TINY_PATH.replace("model:\n", "model:\n  vocab_size: 10\n"))

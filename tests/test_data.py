@@ -17,7 +17,6 @@ from papaformer.data import (
     ToyTokenizer,
     build_chunk_store,
     build_stream,
-    chunk_stream,
     load_corpus_file,
     make_batches,
     split_collections,
@@ -85,11 +84,28 @@ class TestBuildStream:
 
 
 class TestChunking:
+    def epochs(self, chunks):
+        return [[c for c in chunks if c.epoch == e] for e in (1, 2)]
+
     def test_exact_tiling(self):
-        stream = np.arange(1024, dtype=np.uint32)
-        chunks = chunk_stream(stream, 256, 1, RngState(0), "story", offset=0)
-        assert len(chunks) == 4
-        assert all(len(c.tokens) == 256 for c in chunks)
+        # at seq_len 2 the two distinct offsets are 0 and 1, whatever the draws
+        stream = np.arange(8, dtype=np.uint32)
+        chunks = two_epoch_chunks(stream, 2, RngState(0), "story")
+        by_offset = {ep[0].start: ep for ep in self.epochs(chunks)}
+        assert set(by_offset) == {0, 1}
+        assert [c.start for c in by_offset[0]] == [0, 2, 4, 6]
+        assert [c.start for c in by_offset[1]] == [1, 3, 5]
+        assert all(len(c.tokens) == 2 for c in chunks)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 600), seq_len=st.integers(2, 64), seed=st.integers(0, 2**16))
+    def test_each_epoch_tiles_from_its_offset(self, n, seq_len, seed):
+        stream = np.arange(2 * seq_len + n, dtype=np.uint32)
+        for ep in self.epochs(two_epoch_chunks(stream, seq_len, RngState(seed), "story")):
+            offset = ep[0].start
+            assert 0 <= offset < seq_len
+            assert [c.start for c in ep] == list(range(offset, len(stream) - seq_len + 1, seq_len))
+            assert all(len(c.tokens) == seq_len for c in ep)
 
     def test_epochs_have_disjoint_spans(self):
         stream = np.arange(5000, dtype=np.uint32)
@@ -99,19 +115,39 @@ class TestChunking:
         assert spans1 and spans2
         assert not (spans1 & spans2)
 
+    def test_offsets_are_the_draws_with_the_second_redrawn_until_it_differs(self):
+        # seq_len 2: a second draw equal to the first is drawn again
+        for seed in range(20):
+            draws = RngState(seed)
+            first = int(draws.integers(0, 2))
+            second = int(draws.integers(0, 2))
+            while second == first:
+                second = int(draws.integers(0, 2))
+            rng = RngState(seed)
+            ep1, ep2 = self.epochs(two_epoch_chunks(np.arange(9, dtype=np.uint32), 2, rng, "s"))
+            assert (ep1[0].start, ep2[0].start) == (first, second)
+            assert rng.position == draws.position
+
     def test_remainder_dropped(self):
         stream = np.arange(300, dtype=np.uint32)
-        chunks = chunk_stream(stream, 128, 1, RngState(4), "m", offset=5)
-        assert len(chunks) == 2
-        assert chunks[-1].start + 128 <= 300
+        for ep in self.epochs(two_epoch_chunks(stream, 128, RngState(4), "m")):
+            offset = ep[0].start
+            assert len(ep) == (300 - offset) // 128
+            assert ep[-1].start + 128 <= 300 < ep[-1].start + 2 * 128
 
     def test_too_short_stream(self):
+        with pytest.raises(DataError, match="100 tokens is too short for seq_len 256"):
+            two_epoch_chunks(np.arange(100, dtype=np.uint32), 256, RngState(0), "s")
         with pytest.raises(DataError):
-            chunk_stream(np.arange(100, dtype=np.uint32), 256, 1, RngState(0))
+            two_epoch_chunks(np.arange(511, dtype=np.uint32), 256, RngState(0), "s")
+        assert two_epoch_chunks(np.arange(512, dtype=np.uint32), 256, RngState(0), "s")
 
     def test_chunk_contents_match_stream(self):
         stream = np.arange(1000, dtype=np.uint32)
-        for c in chunk_stream(stream, 128, 1, RngState(5), "s"):
+        chunks = two_epoch_chunks(stream, 128, RngState(5), "s")
+        assert {c.epoch for c in chunks} == {1, 2}
+        for c in chunks:
+            assert c.corpus == "s"
             assert np.array_equal(c.tokens, stream[c.start : c.start + 128])
 
 
@@ -119,21 +155,33 @@ class TestSplitCollections:
     def chunks(self, n, tag="story"):
         return [Chunk(tokens=np.zeros(8, dtype=np.uint32), corpus=tag, epoch=1, start=i * 8) for i in range(n)]
 
+    def tags(self, chunks):
+        return [c.sub_collection for c in chunks]
+
     def test_six_four(self):
-        sub60, sub40 = split_collections(self.chunks(10), rng=RngState(0))
-        assert len(sub60) == 6 and len(sub40) == 4
+        cs = self.chunks(10)
+        assert split_collections(cs, rng=RngState(0)) is None
+        assert self.tags(cs).count(60) == 6 and self.tags(cs).count(40) == 4
 
     def test_disjoint_exhaustive(self):
         cs = self.chunks(17)
-        sub60, sub40 = split_collections(cs, rng=RngState(1))
-        assert len(sub60) + len(sub40) == 17
-        assert {id(c) for c in sub60}.isdisjoint({id(c) for c in sub40})
-        assert {id(c) for c in sub60} | {id(c) for c in sub40} == {id(c) for c in cs}
+        split_collections(cs, rng=RngState(1))
+        assert self.tags(cs).count(60) == round(0.6 * 17)
+        assert self.tags(cs).count(40) == 17 - round(0.6 * 17)
 
     def test_tags_assigned(self):
-        sub60, sub40 = split_collections(self.chunks(5), rng=RngState(2))
-        assert all(c.sub_collection == 60 for c in sub60)
-        assert all(c.sub_collection == 40 for c in sub40)
+        cs = self.chunks(5)
+        split_collections(cs, rng=RngState(2))
+        assert set(self.tags(cs)) == {60, 40}
+        assert self.tags(cs).count(60) == 3
+
+    def test_the_first_60_percent_of_one_permutation_is_tagged_60(self):
+        cs = self.chunks(23)
+        rng = RngState(3)
+        split_collections(cs, rng)
+        order = RngState(3).permutation(23)
+        assert [cs[i].sub_collection for i in order] == [60] * 14 + [40] * 9
+        assert rng.position == 1  # one draw
 
 
 class TestMakeBatches:

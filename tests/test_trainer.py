@@ -14,7 +14,7 @@ import pytest
 from papaformer import trainer
 from papaformer.blocks import ConfigError
 from papaformer.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from papaformer.data import build_chunk_store, synthetic_math_corpus, synthetic_story_corpus
+from papaformer.data import DataError, build_chunk_store, synthetic_math_corpus, synthetic_story_corpus
 from papaformer.losses import cross_entropy
 from papaformer.model import ModelConfig, build, forward
 from papaformer.tensor import NonFiniteError, RngState, Tensor
@@ -289,6 +289,11 @@ class TestTrainLoop:
         model = build(small_model_config(store.tokenizer.vocab_size), RngState(0))
         with pytest.raises(ConfigError):
             train(model, subset(store, 4), cfg)
+
+    def test_an_epoch_without_chunks_raises_naming_it(self, store):
+        model = build(small_model_config(store.tokenizer.vocab_size), RngState(0))
+        with pytest.raises(DataError, match="epoch 2"):
+            train(model, store.select(epoch=1), tiny_cfg(epochs=2))
 
     def test_grad_clip_bounds_every_steps_gradient(self, store, monkeypatch):
         norms = []
