@@ -146,7 +146,7 @@ def cmd_train(args) -> int:
         model = build(model_cfg, RngState(cfg.seed))
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     log_path = args.log or args.out + ".log"
-    with open(log_path, "w", encoding="utf-8") as log:
+    with replacing(log_path) as f, open(f.fileno(), "w", encoding="utf-8", closefd=False) as log:
         # train() formats its checkpoint path with {epoch}; --out is written as given
         literal = args.out.replace("{", "{{").replace("}", "}}")
         report = train(model, chunks, cfg, checkpoint_path=literal, log_file=log)

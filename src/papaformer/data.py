@@ -1,8 +1,8 @@
 """Toy tokenizer, synthetic two-domain corpora, and the chunking protocol.
 
 A word's token id is its vocabulary id, or UNK for a word not in the vocab.
-Documents are joined into one contiguous token stream per corpus with an
-EOS separator after every document. ``two_epoch_chunks`` tiles each stream
+A store build's one lookup per word grows the vocab and writes the corpus's
+token stream, with an EOS after each document. ``two_epoch_chunks`` tiles each stream
 into fixed-length chunks (256 tokens by default) once per training epoch,
 from two distinct random start offsets it draws, so the two epochs cover
 disjoint spans. ``split_collections`` tags each corpus's chunks 60/40 in
@@ -19,9 +19,10 @@ import json
 import os
 import stat
 import struct
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -112,6 +113,13 @@ class Corpus:
             raise DataError(f"corpus {self.domain_tag!r} has empty documents")
 
 
+class _Vocab(dict):
+    """A finished vocab, token string -> id: a word not in it is UNK, and looking it up does not add it."""
+
+    def __missing__(self, word: str) -> int:
+        return ToyTokenizer.UNK
+
+
 @dataclass
 class ToyTokenizer:
     """Whitespace word-level tokenizer.
@@ -121,19 +129,22 @@ class ToyTokenizer:
     A word's id is its vocabulary id, or UNK for a word not in the vocab.
     """
 
-    vocab: dict  # token string -> id
+    vocab: dict  # token string -> id; build and from_dict give a _Vocab, which maps a word not in it to UNK
 
     EOS = 0
     UNK = 1
 
     @classmethod
     def build(cls, corpora: list) -> "ToyTokenizer":
-        vocab = {EOS_TOKEN: cls.EOS, UNK_TOKEN: cls.UNK}
-        for corpus in corpora:
-            # one document's words are live at a time; the dict keeps each word once
-            for w in dict.fromkeys(chain.from_iterable(map(str.split, corpus.documents))):
-                vocab.setdefault(w, len(vocab))
-        return cls(vocab=vocab)
+        return cls.build_with_streams(corpora)[0]
+
+    @classmethod
+    def build_with_streams(cls, corpora: list) -> tuple:
+        """The tokenizer of ``corpora`` and each corpus's ``build_stream``, from one vocab lookup per word."""
+        growing = defaultdict(None, {EOS_TOKEN: cls.EOS, UNK_TOKEN: cls.UNK})
+        growing.default_factory = growing.__len__  # a word not yet in the vocab gets the next id
+        streams = [build_stream(corpus, cls(vocab=growing)) for corpus in corpora]
+        return cls(vocab=_Vocab(growing)), streams
 
     @property
     def vocab_size(self) -> int:
@@ -170,7 +181,7 @@ class ToyTokenizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToyTokenizer":
-        return cls(vocab=dict(d["vocab"]))
+        return cls(vocab=_Vocab(d["vocab"]))
 
 
 @dataclass
@@ -187,10 +198,10 @@ class Chunk:
 
 
 def build_stream(corpus: Corpus, tokenizer: ToyTokenizer) -> np.ndarray:
-    """concat(doc_1, EOS, doc_2, EOS, ...) in document order."""
+    """concat(doc_1, EOS, doc_2, EOS, ...) in document order, one vocab lookup per word."""
     ids = array.array("I")
     for doc in corpus.documents:
-        ids.extend(tokenizer.ids(doc))
+        ids.extend(map(tokenizer.vocab.__getitem__, doc.split()))
         ids.append(tokenizer.EOS)
     return np.frombuffer(ids, dtype=np.uint32)
 
@@ -204,7 +215,7 @@ def two_epoch_chunks(stream: np.ndarray, seq_len: int, rng: RngState, corpus_tag
     remainder is dropped.
     """
     if len(stream) < 2 * seq_len:
-        raise DataError(f"stream of {len(stream)} tokens is too short for seq_len {seq_len}")
+        raise DataError(f"corpus {corpus_tag!r}: stream of {len(stream)} tokens is too short for seq_len {seq_len}")
     first = second = int(rng.integers(0, seq_len))
     while second == first:
         second = int(rng.integers(0, seq_len))
@@ -384,12 +395,11 @@ def build_chunk_store(
     """Full preprocessing pipeline: tokenize, chunk twice, split 60/40 per corpus."""
     if seq_len < 2:  # the two epochs' chunkings need distinct start offsets in [0, seq_len)
         raise ConfigError(f"seq_len: must be >= 2, got {seq_len}")
-    tokenizer = ToyTokenizer.build(corpora)
+    tokenizer, streams = ToyTokenizer.build_with_streams(corpora)
     rng = RngState(seed)
     all_chunks = []
-    for corpus in corpora:
-        stream = build_stream(corpus, tokenizer)
-        chunks = two_epoch_chunks(stream, seq_len, rng, corpus.domain_tag)
+    for corpus in corpora:  # each stream is freed once its chunks, which are copies, are cut
+        chunks = two_epoch_chunks(streams.pop(0), seq_len, rng, corpus.domain_tag)
         split_collections(chunks, rng)
         all_chunks.extend(chunks)
     return ChunkStore(seq_len=seq_len, chunks=all_chunks, tokenizer=tokenizer)

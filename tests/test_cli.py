@@ -132,6 +132,15 @@ class TestPretokenize:
         assert "--byte-fallback" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_corpus_too_short_to_chunk_is_named(self, workdir, tmp_path, capsys):
+        short = tmp_path / "short.txt"
+        short.write_text("a b c\n")
+        out = tmp_path / "short.ppch"
+        rc = main(["pretokenize", "--corpus", f"tiny={short}", "--synthetic", "20", "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert "corpus 'tiny'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_corpora(self, workdir, capsys):
         assert main(["pretokenize", "--out", str(workdir / "x.ppch")]) == EXIT_DATA
         assert "error: data" in capsys.readouterr().err
@@ -177,6 +186,18 @@ class TestTrain:
         assert rc == EXIT_DATA
         assert "epoch 3" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_failed_run_keeps_the_previous_log(self, workdir, tmp_path):
+        three = tmp_path / "three_epochs.yaml"
+        three.write_text(TINY_PATH.replace("epochs: 1", "epochs: 3"))
+        out, log = tmp_path / "logt.ppck", tmp_path / "logt.ppck.log"
+        rest = ["--data", str(workdir / "store.ppch"), "--role", "path1", "--out", str(out)]
+        assert main(["train", "--config", str(workdir / "path.yaml"), *rest]) == 0
+        before = log.read_bytes()
+        assert len(before.splitlines()) == 2
+        assert main(["train", "--config", str(three), *rest]) == EXIT_DATA
+        assert log.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["logt.ppck", "logt.ppck.log", "three_epochs.yaml"]
 
     def test_config_vocab_below_store_vocab(self, workdir, capsys):
         small = workdir / "small_vocab.yaml"

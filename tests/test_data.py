@@ -408,6 +408,55 @@ class TestStoreBytes:
         assert hashlib.sha256((tmp_path / "s.ppch").read_bytes()).hexdigest() == PINNED_STORE_DIGEST
 
 
+# words and separators of the one-pass build's corpora: the special tokens as words, and Unicode whitespace
+BUILD_WORDS = ["Lily", "park", "7", ".", "<eos>", "<unk>", "é", "日本", "🙂"]
+BUILD_SEPS = [" ", "\t", "\n", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000"]
+BUILD_DOC = st.lists(st.tuples(st.sampled_from(BUILD_SEPS), st.sampled_from(BUILD_WORDS)), min_size=1, max_size=8).map(
+    lambda pairs: "".join(sep + w for sep, w in pairs)
+)
+BUILD_CORPORA = st.lists(st.lists(BUILD_DOC, min_size=2, max_size=6), min_size=1, max_size=3)
+
+
+def two_pass_vocab(corpora: list) -> list:
+    """The vocab in id order, built by a pass over every word before any stream is made."""
+    vocab = {"<eos>": 0, "<unk>": 1}
+    for corpus in corpora:
+        for doc in corpus.documents:
+            for w in re.findall(r"\S+", doc):
+                vocab.setdefault(w, len(vocab))
+    return list(vocab)
+
+
+class TestOnePassBuild:
+    @given(BUILD_CORPORA)
+    @settings(max_examples=150, deadline=None)
+    def test_vocab_and_streams_match_a_two_pass_reference(self, docs_per_corpus):
+        corpora = [Corpus(documents=docs, domain_tag=f"c{i}") for i, docs in enumerate(docs_per_corpus)]
+        store = build_chunk_store(corpora, seq_len=2, seed=0)
+        tok = store.tokenizer
+        assert tok.id_to_token() == two_pass_vocab(corpora)
+        assert list(tok.vocab) == two_pass_vocab(corpora)
+        for corpus in corpora:
+            want = [i for d in corpus.documents for i in tok.tokenize(d).tolist() + [tok.EOS]]
+            assert build_stream(corpus, tok).tolist() == want
+            # at seq_len 2 the epochs start at 0 and 1, so their chunks together tile the whole stream
+            chunks = store.select(corpus=corpus.domain_tag)
+            for c in chunks:
+                assert c.tokens.tolist() == want[c.start : c.start + 2]
+            assert len(chunks) == len(want) // 2 + (len(want) - 1) // 2
+
+    def test_a_built_or_loaded_tokenizer_never_grows(self, corpora):
+        built = build_chunk_store(corpora, seq_len=16, seed=0).tokenizer
+        for tok in (built, ToyTokenizer.from_dict(built.to_dict())):
+            size = tok.vocab_size
+            assert tok.tokenize("zebra Lily zebra").tolist() == [tok.UNK, tok.vocab["Lily"], tok.UNK]
+            assert tok.ids("zebra") == [tok.UNK]
+            stream = build_stream(Corpus(documents=["zebra giraffe"], domain_tag="zoo"), tok)
+            assert stream.tolist() == [tok.UNK, tok.UNK, tok.EOS]
+            assert tok.vocab_size == size
+            assert "zebra" not in tok.vocab and "giraffe" not in tok.vocab
+
+
 class TestCorruptStore:
     @pytest.fixture
     def saved(self, corpora, tmp_path):

@@ -15,7 +15,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "papaformer"
 
 # (module, function): the one replacing writer, and the train verb's text log,
-# which is written as the run goes and is not an artifact a later verb reads
+# which opens a text view of the descriptor of replacing's temp file
 ALLOWED = [("cli.py", "cmd_train"), ("data.py", "replacing")]
 
 
