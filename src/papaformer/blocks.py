@@ -263,32 +263,23 @@ class KVCache:
     block's ``LayerBlockParams`` object; every block of a model is its own.
     Each block keeps one key and one value buffer, [B, heads, max_seq_len,
     head_dim], allocated by its first ``extend``; every ``extend`` writes its
-    rows into them in place.
+    rows into them in place, from ``length`` on.
     """
 
     def __init__(self):
-        self._kv = {}  # id(LayerBlockParams) -> (keys, values, positions filled)
-        # positions run so far: ``model.trunk`` sets it on every forward, so it
-        # counts them also in a model with no attention block to extend
-        self.length = 0
-
-    def start(self, params: LayerBlockParams) -> int:
-        """Positions already cached for this block: the position of its next token."""
-        kv = self._kv.get(id(params))
-        return 0 if kv is None else kv[2]
+        self._kv = {}  # id(LayerBlockParams) -> (keys, values)
+        self.length = 0  # positions run, where every block's next rows go; ``model.forward`` advances it
 
     def extend(self, params: LayerBlockParams, k: np.ndarray, v: np.ndarray, max_seq_len: int) -> tuple:
         """Write new [B, T, heads, head_dim] keys and values; return views of all of them, head-major."""
         kv = self._kv.get(id(params))
         if kv is None:
             b, _, heads, head_dim = k.shape
-            kv = *(np.empty((b, heads, max_seq_len, head_dim), dtype=z.dtype) for z in (k, v)), 0
-        keys, values, start = kv
-        end = start + k.shape[1]
+            kv = self._kv[id(params)] = tuple(np.empty((b, heads, max_seq_len, head_dim), z.dtype) for z in (k, v))
+        keys, values = kv
+        start, end = self.length, self.length + k.shape[1]
         keys[:, :, start:end] = k.transpose(0, 2, 1, 3)
         values[:, :, start:end] = v.transpose(0, 2, 1, 3)
-        self._kv[id(params)] = (keys, values, end)
-        self.length = max(self.length, end)
         return keys[:, :, :end], values[:, :, :end]
 
 
@@ -317,7 +308,7 @@ def causal_mha(
     t = x.shape[1]
     if cache is not None and max_seq_len is None:
         raise ConfigError("a K/V cache needs max_seq_len to size its buffers")
-    start = 0 if cache is None else cache.start(params)
+    start = 0 if cache is None else cache.length
     if max_seq_len is not None and start + t > max_seq_len:
         raise ConfigError(f"sequence length {start + t} exceeds max_seq_len {max_seq_len}")
     positions = start + np.arange(t)

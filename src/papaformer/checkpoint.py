@@ -125,7 +125,9 @@ def load_checkpoint(path: str, moments: bool = False) -> Checkpoint:
     The optimizer moments, the ``opt.`` tensors that ``save_checkpoint`` writes
     last, are read only with ``moments`` (a resume needs them); without it the
     read stops where they begin and ``opt_tensors`` is empty. The manifest's
-    size checks still cover the whole file.
+    size checks still cover the whole file. Every tensor read must be a
+    parameter of the model, or its moment ``opt.m.<name>`` or ``opt.v.<name>``,
+    with that parameter's shape.
     """
     # unbuffered, so each tensor's bytes go from the file into its array with no reader buffer between
     with open(path, "rb", buffering=0) as f:
@@ -139,19 +141,17 @@ def load_checkpoint(path: str, moments: bool = False) -> Checkpoint:
             is_opt = name.startswith("opt.")
             if is_opt and not moments:
                 break
-            if not is_opt:
-                if name not in params:
-                    raise CheckpointError(f"{path}: tensor {name!r} not present in model built from config")
-                if shape != params[name].shape:
-                    raise CheckpointError(
-                        f"{path}: tensor {name!r} shape {e['shape']} != model shape {params[name].shape}"
-                    )
+            param = params.get(name[6:] if name[:6] in ("opt.m.", "opt.v.") else name)  # no parameter starts "opt."
+            if param is None:
+                raise CheckpointError(f"{path}: tensor {name!r} not present in model built from config")
+            if shape != param.shape:
+                raise CheckpointError(f"{path}: tensor {name!r} shape {e['shape']} != model shape {param.shape}")
             arr = np.empty(shape, "<f4")
             read_into(f, arr, path, f"tensor {name!r}", CheckpointError)
             if is_opt:
                 opt_tensors[name[4:]] = arr
             else:
-                params[name].data = arr.astype(params[name].data.dtype, copy=False)
+                param.data = arr.astype(param.data.dtype, copy=False)
                 provenance[name] = e["provenance"]
     missing = set(params) - set(provenance)
     if missing:

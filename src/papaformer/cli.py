@@ -106,6 +106,8 @@ def _load_corpora(args) -> list:
         if not path:
             raise ConfigError(f"--corpus {spec!r}: expected TAG=PATH")
         corpora.append(load_corpus_file(path, tag))
+    if args.synthetic < 0:
+        raise ConfigError(f"--synthetic: must be at least 0, got {args.synthetic}")
     if args.synthetic:
         corpora.append(synthetic_story_corpus(args.synthetic, seed=args.seed))
         corpora.append(synthetic_math_corpus(args.synthetic, seed=args.seed + 1))

@@ -285,7 +285,7 @@ def trunk(
     attention layer (the last parallel layer, or a baseline's last block)
     computes keys and values at every position but the rest of it at the
     last position only, so T is 1 in its output and records. Other arguments
-    are those of ``forward``.
+    are those of ``forward``, which alone advances ``cache.length``.
     """
     c = model.config
     tokens = np.asarray(tokens)
@@ -308,8 +308,6 @@ def trunk(
                 x, layer, c.gumbel, rng, training, c.max_seq_len, cache, last_row and i == len(layers) - 1
             )
             records.append(rec)
-    if cache is not None:
-        cache.length = length
     return x, records
 
 
@@ -326,9 +324,10 @@ def forward(
     ``trunk``, then the blocks after the parallel core, the final norm and
     the LM head. Training mode draws Gumbel noise from ``rng``; evaluation
     routes without noise and needs no rng. With a ``cache``, the tokens
-    continue the ``cache.length`` positions already run through it, and
-    logits and records cover the new tokens only; every other layer acts on
-    each position alone, so only attention needs the cache.
+    continue the ``cache.length`` positions already run through it: each
+    attention block writes their keys and values from there on, and every
+    other layer acts on each position alone. Logits and records cover the
+    new tokens only, and ``forward`` then advances ``cache.length`` by them.
 
     ``last_row`` is for forward-only callers that read the last position's
     logits alone. The model's last attention layer (the last block after the
@@ -345,6 +344,8 @@ def forward(
         x = layer_block(x, b, c.max_seq_len, cache, last_row and i == len(after) - 1)
     x = rmsnorm(x, model.final_norm_scale)
     logits = x @ model.lm_head
+    if cache is not None:
+        cache.length += np.shape(tokens)[-1]
     if np.ndim(tokens) == 1:
         logits = logits.reshape(logits.shape[1], logits.shape[2])
     return logits, records

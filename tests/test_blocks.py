@@ -190,6 +190,7 @@ class TestCausalMha:
             def loss(x_new):
                 cache = blocks.KVCache()
                 causal_mha(Tensor(x0[:, :3]), p, 5, cache)
+                cache.length = 3  # as model.forward advances it, so x_new runs at positions 3 and 4
                 return (causal_mha(x_new, p, 5, cache) * probe).sum()
 
             check_grad(loss, x0[:, 3:], h=1e-5, tol=1e-6)
@@ -207,6 +208,7 @@ class TestCausalMha:
             causal_mha(Tensor(np.zeros((1, 9, 8))), p, max_seq_len=8)
         cache = blocks.KVCache()
         causal_mha(Tensor(np.zeros((1, 6, 8))), p, max_seq_len=8, cache=cache)
+        cache.length = 6  # as model.forward advances it
         with pytest.raises(blocks.ConfigError, match="9 exceeds"):
             causal_mha(Tensor(np.zeros((1, 3, 8))), p, max_seq_len=8, cache=cache)
 
@@ -232,8 +234,11 @@ class TestCausalMha:
         np.testing.assert_allclose(got_att, att, atol=1e-6)
         # the same positions in two chunks through one K/V cache
         cache = blocks.KVCache()
-        chunks = [causal_mha(x[:, :2], p, 5, cache).data, causal_mha(x[:, 2:], p, 5, cache).data]
-        assert cache.length == 5
+        chunks = []
+        for a, b in ((0, 2), (2, 5)):
+            chunks.append(causal_mha(x[:, a:b], p, 5, cache).data)
+            assert cache.length == a  # attention writes from cache.length; model.forward advances it
+            cache.length = b
         np.testing.assert_allclose(np.concatenate(chunks, axis=1), ref, rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("wrt", ["x", "wq", "wk", "wv"])
@@ -403,8 +408,13 @@ class TestKVCache:
         rng = np.random.default_rng(47)
         rows = [rng.normal(size=(1, t, 2, 4)).astype(np.float32) for t in (5, 1, 1, 1)]
         cache = blocks.KVCache()
-        kvs = [cache.extend(p, r, -r, 10) for r in rows]
-        assert cache.start(p) == cache.length == 8
+        kvs = []
+        for r in rows:
+            start = cache.length
+            kvs.append(cache.extend(p, r, -r, 10))
+            assert cache.length == start  # extend writes from cache.length; model.forward advances it
+            cache.length += r.shape[1]
+        assert cache.length == 8
         # the first extend allocates max_seq_len rows; every extend, that one included, writes into them
         keys, values = kvs[0][0].base, kvs[0][1].base
         assert keys.shape == values.shape == (1, 2, 10, 4) and keys.dtype == values.dtype == np.float32

@@ -82,7 +82,7 @@ class TestRoundTrip:
 
     def test_optimizer_tensors_round_trip(self, model, tmp_path):
         p = str(tmp_path / "e.ppck")
-        opt = {"m.embed": np.arange(6, dtype=np.float32).reshape(2, 3)}
+        opt = {"m.embed": np.arange(model.embed.size, dtype=np.float32).reshape(model.embed.shape)}
         save_checkpoint(p, model, opt_tensors=opt)
         ckpt = load_checkpoint(p, moments=True)
         assert np.array_equal(ckpt.opt_tensors["m.embed"], opt["m.embed"])
@@ -414,6 +414,24 @@ class TestMoments:
         assert sorted(full.opt_tensors) == sorted(opt)
         for name, t in plain.model.named_params().items():
             assert t.data.tobytes() == full.model.named_params()[name].data.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "edit, name",
+        [
+            (lambda opt, head: opt.update({"v.lm_head": head[:, 0]}), "opt.v.lm_head"),  # a moment of another shape
+            (lambda opt, head: opt.update({"w.lm_head": opt.pop("v.lm_head")}), "opt.w.lm_head"),  # neither m nor v
+            (lambda opt, head: opt.update({"m.not_a_param": head}), "opt.m.not_a_param"),  # of no parameter
+        ],
+        ids=["shape", "kind", "param"],
+    )
+    def test_moment_must_match_a_parameter(self, model, tmp_path, edit, name):
+        p = str(tmp_path / "bad.ppck")
+        opt = moments(model, 0)
+        edit(opt, opt["v.lm_head"])
+        save_checkpoint(p, model, opt_tensors=opt)
+        load_checkpoint(p)  # the weights alone still load
+        with pytest.raises(CheckpointError, match=re.escape(repr(name))):
+            load_checkpoint(p, moments=True)
 
     def test_compose_reads_no_moments(self, tmp_path, reads):
         paths = []

@@ -115,6 +115,12 @@ class TestPretokenize:
         assert "seq_len" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_synthetic_count_exits_config(self, workdir, capsys):
+        out = workdir / "bad_synthetic.ppch"
+        assert main(["pretokenize", "--synthetic", "-5", "--seq-len", "16", "--out", str(out)]) == EXIT_CONFIG
+        assert "--synthetic" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_token_counts_match_chunk_math(self, workdir, capsys):
         main(["pretokenize", "--synthetic", "30", "--seq-len", "16", "--out", str(workdir / "s3.ppch")])
         out = capsys.readouterr().out

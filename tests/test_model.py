@@ -275,11 +275,7 @@ class ConcatCache:
 
     def __init__(self):
         self.kv = {}
-        self.length = 0  # positions run, which the model's forward sets
-
-    def start(self, params) -> int:
-        kv = self.kv.get(id(params))
-        return 0 if kv is None else kv[0].shape[2]
+        self.length = 0  # positions run, which the model's forward advances
 
     def extend(self, params, k, v, max_seq_len) -> tuple:
         kv = tuple(z.transpose(0, 2, 1, 3) for z in (k, v))
