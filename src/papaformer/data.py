@@ -10,6 +10,10 @@ place, and ``ROLES`` names the chunks each training role selects: a path
 its corpus's 60% sub-collection, a composite every corpus's 40% remainder,
 a baseline everything. Training an epoch that no given chunk belongs to
 raises DataError.
+
+The synthetic corpora make one bounded draw per choice, in document order,
+and replay each from the generator's raw 32-bit words (``_bounded_draws``),
+so every draw is the one a scalar ``Generator.integers`` call would return.
 """
 
 from __future__ import annotations
@@ -109,8 +113,11 @@ class Corpus:
     domain_tag: str  # "story" | "math"
 
     def __post_init__(self):
-        if not self.documents or any(not d for d in self.documents):
-            raise DataError(f"corpus {self.domain_tag!r} has empty documents")
+        if not self.documents:
+            raise DataError(f"corpus {self.domain_tag!r} has no documents")
+        empty = next((i for i, d in enumerate(self.documents) if not d), None)
+        if empty is not None:
+            raise DataError(f"corpus {self.domain_tag!r}: document {empty} is empty")
 
 
 class _Vocab(dict):
@@ -264,23 +271,60 @@ _STORY_VERBS = ["played", "laughed", "ran", "jumped", "sang", "smiled"]
 _MATH_OPS = [("plus", lambda a, b: a + b), ("minus", lambda a, b: a - b), ("times", lambda a, b: a * b)]
 
 
+_DRAW_BLOCK = 4096  # raw words per block: the draws' memory is fixed, whatever the corpus size
+
+
+def _bounded_draws(rng: np.random.Generator, bounds: tuple):
+    """``draw(r)``, for each ``r`` in ``bounds``: the value a scalar ``rng.integers(r)`` would return next.
+
+    NumPy's bounded draw is Lemire's multiply-shift with rejection on one raw
+    32-bit word ``w`` at a time: the value is ``(w * r) >> 32``, and a word with
+    ``(w * r) mod 2**32 < 2**32 mod r`` is skipped for the next one. ``draw``
+    replays that from blocks of ``_DRAW_BLOCK`` raw words, which it turns into
+    one table of values per bound, -1 marking a word that bound skips. When a
+    block runs out, the next is drawn, so a skip at a block's end is no
+    special case.
+    """
+    tables, i = dict.fromkeys(bounds, ()), 0
+
+    def draw(r: int) -> int:
+        nonlocal tables, i
+        while True:
+            try:
+                v = tables[r][i]
+            except IndexError:
+                # int64 holds w * b exactly for these small bounds, and a signed table can hold -1
+                w = rng.integers(0, 2**32, size=_DRAW_BLOCK, dtype=np.uint32).astype(np.int64)
+                tables, i = {}, 0
+                for b in bounds:
+                    m = w * b
+                    tables[b] = np.where((m & 0xFFFFFFFF) < 2**32 % b, -1, m >> 32).tolist()
+                continue
+            i += 1
+            if v >= 0:
+                return v
+
+    return draw
+
+
 def synthetic_story_corpus(n_docs: int, seed: int) -> Corpus:
     """Template children's-story sentences with a story-only surface vocabulary.
 
     Each document draws its name, its sentence count, then the place, thing
-    and two verbs of every sentence in one call; the stream of draws is that
-    of one scalar draw at a time.
+    and two verbs of each sentence: one ``_bounded_draws`` draw per choice, in
+    document order, so the documents are those of one scalar
+    ``default_rng(seed).integers`` call per choice.
     """
-    rng = np.random.default_rng(seed)
+    k = len(_STORY_NAMES)  # the name, place, thing and verb lists are equally long, so one bound serves all five
+    draw = _bounded_draws(np.random.default_rng(seed), (k, 3))
     docs = []
     for _ in range(n_docs):
-        name = _STORY_NAMES[rng.integers(len(_STORY_NAMES))]
+        name = _STORY_NAMES[draw(k)]
         sentences = [f"Once upon a time there was a little one named {name} ."]
         # variable document lengths keep chunk phases from locking to the
         # template, which would make offsets trivially predictable
-        n = int(rng.integers(1, 4))
-        # the place, thing and verb lists are equally long, so one bound serves all four
-        for place, thing, verb, verb2 in rng.integers(len(_STORY_VERBS), size=(n, 4)).tolist():
+        for _ in range(draw(3) + 1):
+            place, thing, verb, verb2 = draw(k), draw(k), draw(k), draw(k)
             sentences.append(f"{name} went to the {_STORY_PLACES[place]} with a {_STORY_THINGS[thing]} .")
             sentences.append(f"{name} {_STORY_VERBS[verb]} and {_STORY_VERBS[verb2]} all day .")
         sentences.append("The end .")
@@ -289,14 +333,20 @@ def synthetic_story_corpus(n_docs: int, seed: int) -> Corpus:
 
 
 def synthetic_math_corpus(n_docs: int, seed: int) -> Corpus:
-    """Template arithmetic-instruction strings with a math-only vocabulary."""
-    rng = np.random.default_rng(seed)
+    """Template arithmetic-instruction strings with a math-only vocabulary.
+
+    Each document draws its problem count, then each problem's two operands
+    and its operator: one ``_bounded_draws`` draw per choice, in document
+    order, so the documents are those of one scalar
+    ``default_rng(seed).integers`` call per choice.
+    """
+    draw = _bounded_draws(np.random.default_rng(seed), (2, 10, len(_MATH_OPS)))
     docs = []
     for _ in range(n_docs):
         problems = []
-        for _ in range(int(rng.integers(1, 3))):
-            a, b = int(rng.integers(0, 10)), int(rng.integers(0, 10))
-            op_name, op = _MATH_OPS[rng.integers(len(_MATH_OPS))]
+        for _ in range(draw(2) + 1):
+            a, b = draw(10), draw(10)
+            op_name, op = _MATH_OPS[draw(len(_MATH_OPS))]
             problems.append(
                 f"Solve this problem : what is {a} {op_name} {b} ? "
                 f"Compute the value step by step . The answer is {op(a, b)} ."

@@ -47,6 +47,10 @@ CALL_SHAPES = [
     ("losses", "cross_entropy", 2, ()),
     # the tracer's counting wrapper calls Tensor.__init__(t, data, requires_grad, _parents, _backward)
     ("tensor", "Tensor.__init__", 5, ()),
+    ("data", "synthetic_story_corpus", 2, ()),
+    ("data", "synthetic_math_corpus", 2, ()),
+    ("data", "build_chunk_store", 1, ("seq_len", "seed")),
+    ("data", "make_batches", 3, ()),
 ]
 
 

@@ -23,11 +23,13 @@ from papaformer.data import (
     synthetic_math_corpus,
     synthetic_story_corpus,
     two_epoch_chunks,
+    _DRAW_BLOCK,
     _MATH_OPS,
     _STORY_NAMES,
     _STORY_PLACES,
     _STORY_THINGS,
     _STORY_VERBS,
+    _bounded_draws,
 )
 from papaformer.tensor import RngState
 
@@ -266,6 +268,16 @@ def test_load_corpus_file(tmp_path):
         load_corpus_file(str(tmp_path / "empty.txt"), "story")
 
 
+def test_a_corpus_without_documents_is_named():
+    with pytest.raises(DataError, match="corpus 'story' has no documents"):
+        Corpus([], "story")
+
+
+def test_an_empty_document_is_named_by_its_index():
+    with pytest.raises(DataError, match="corpus 'math': document 2 is empty"):
+        Corpus(["one", "two", "", "four"], "math")
+
+
 def test_synthetic_corpora_have_distinct_vocabularies():
     story = synthetic_story_corpus(20, seed=0)
     math = synthetic_math_corpus(20, seed=0)
@@ -350,6 +362,9 @@ PINNED_STORE_SUMMARY = """\
   story sub40 epoch2: 23 chunks (5888 tokens)
 """
 PINNED_NUMPY = "2.4.6"
+# sha256 of the README quick start's `pretokenize --synthetic 40000 --seq-len 256 --seed 7`
+# when the corpora drew one scalar at a time
+QUICK_START_STORE_DIGEST = "0d580adf0f7f87b28dd3a620cb721a612f4e7fa7c6edcc9d217e3a4df210e8ce"
 
 
 class TestStoreBytes:
@@ -389,6 +404,11 @@ class TestStoreBytes:
         assert synthetic_story_corpus(60, seed).documents == scalar_story_corpus(60, seed)
         assert synthetic_math_corpus(60, seed).documents == scalar_math_corpus(60, seed)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2811])
+    def test_corpora_match_scalar_draws_at_the_benchmark_size(self, seed):
+        assert synthetic_story_corpus(3000, seed).documents == scalar_story_corpus(3000, seed)
+        assert synthetic_math_corpus(3000, seed).documents == scalar_math_corpus(3000, seed)
+
     def test_stream_matches_per_document_tokenize(self, corpora):
         tok = ToyTokenizer.build(corpora[:1])  # math words are unknown
         for c in corpora:
@@ -406,6 +426,78 @@ class TestStoreBytes:
         )
         assert out.stdout == "wrote s.ppch: vocab=106 seq_len=256\n" + PINNED_STORE_SUMMARY
         assert hashlib.sha256((tmp_path / "s.ppch").read_bytes()).hexdigest() == PINNED_STORE_DIGEST
+
+    def test_quick_start_store_matches_pinned_digest(self, tmp_path):
+        if np.__version__ != PINNED_NUMPY:
+            pytest.skip(f"digest pinned with NumPy {PINNED_NUMPY}, this is {np.__version__}")
+        src = Path(__file__).resolve().parent.parent / "src"
+        subprocess.run(
+            [sys.executable, "-m", "papaformer", "pretokenize", "--synthetic", "40000", "--seq-len", "256",
+             "--seed", "7", "--out", "store.ppch"],
+            cwd=tmp_path, env={"PYTHONPATH": str(src)}, capture_output=True, check=True,
+        )
+        assert hashlib.sha256((tmp_path / "store.ppch").read_bytes()).hexdigest() == QUICK_START_STORE_DIGEST
+
+
+# PCG64's 128-bit LCG multiplier: a step is state * MULT + inc mod 2**128
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def generator_with_zero_output(steps: int, has_uint32: int) -> np.random.Generator:
+    """A PCG64 generator whose ``steps``-th next 64-bit output is 0, so two of its 32-bit words in a row are 0.
+
+    PCG64 steps its state, then outputs the xor of the new state's halves,
+    rotated. So a state with equal halves outputs 0, and the state set here
+    is that one stepped back ``steps`` times. With ``has_uint32`` set, a
+    buffered word 77 comes first, and the zero words are words
+    ``2 * steps - 1`` and ``2 * steps``; without, ``2 * steps - 2`` and
+    ``2 * steps - 1``.
+    """
+    inc = np.random.default_rng(0).bit_generator.state["state"]["inc"]
+    inverse = pow(PCG64_MULT, -1, 2**128)
+    state = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF
+    for _ in range(steps):
+        state = (state - inc) * inverse % 2**128
+    g = np.random.Generator(np.random.PCG64())
+    g.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": has_uint32,
+        "uinteger": 77,
+    }
+    return g
+
+
+# (steps, has_uint32, index of the first zero word): zero words first, and zero words on either side of a block's end
+ZERO_WORDS = {"first": (1, 0, 0), "block end": (_DRAW_BLOCK // 2, 1, _DRAW_BLOCK - 1)}
+
+
+class TestBoundedDraws:
+    @pytest.mark.parametrize("case", ZERO_WORDS)
+    def test_the_zero_words_are_where_the_state_puts_them(self, case):
+        steps, has_uint32, zero = ZERO_WORDS[case]
+        words = generator_with_zero_output(steps, has_uint32).integers(0, 2**32, size=zero + 4, dtype=np.uint32)
+        assert words[zero:zero + 2].tolist() == [0, 0] and words.tolist().count(0) == 2
+
+    def test_a_rejected_word_is_skipped_and_bound_two_never_skips(self):
+        words = generator_with_zero_output(1, 0).integers(0, 2**32, size=4, dtype=np.uint32).tolist()
+        scalar = generator_with_zero_output(1, 0)
+        assert int(scalar.integers(6)) == words[2] * 6 >> 32  # 0 * 6 mod 2**32 = 0 < 2**32 mod 6 = 4: both zeros skipped
+        assert int(scalar.integers(0, 2**32, dtype=np.uint32)) == words[3]
+        draw = _bounded_draws(generator_with_zero_output(1, 0), (2, 6))
+        assert [draw(6), draw(6)] == [words[2] * 6 >> 32, words[3] * 6 >> 32]
+        draw = _bounded_draws(generator_with_zero_output(1, 0), (2, 6))
+        assert [draw(2), draw(2), draw(2)] == [0, 0, words[2] >> 31]  # 2**32 mod 2 = 0: no word is skipped
+
+    @pytest.mark.parametrize("case", ZERO_WORDS)
+    @pytest.mark.parametrize("rotation", range(4))
+    def test_draws_match_scalar_draws_across_blocks(self, case, rotation):
+        # every bound the corpora use, each in turn on the zero words; the run spans more than two blocks
+        order = [2, 3, 6, 10][rotation:] + [2, 3, 6, 10][:rotation]
+        run = order * ((2 * _DRAW_BLOCK + 100) // 4)
+        draw = _bounded_draws(generator_with_zero_output(*ZERO_WORDS[case][:2]), (2, 3, 6, 10))
+        scalar = generator_with_zero_output(*ZERO_WORDS[case][:2])
+        assert [draw(r) for r in run] == [int(scalar.integers(r)) for r in run]
 
 
 # words and separators of the one-pass build's corpora: the special tokens as words, and Unicode whitespace
