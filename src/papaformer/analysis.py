@@ -146,12 +146,9 @@ def utilization(traces: list, domains: list) -> UtilizationReport:
 
 
 def format_utilization(report: UtilizationReport) -> str:
-    lines = [
-        f"path_{i + 1:<9} {share:6.1f}%" for i, share in enumerate(report.path_shares)
-    ]
-    lines.append(f"{COMBINED:<11} {report.combined_share:6.1f}%")
-    lines.append(f"{'accuracy':<11} {report.accuracy:6.1f}%")
-    return "\n".join(lines)
+    rows = [(f"path_{i + 1}", share) for i, share in enumerate(report.path_shares)]
+    rows += [(COMBINED, report.combined_share), ("accuracy", report.accuracy)]
+    return "\n".join(f"{label:<11} {share:6.1f}%" for label, share in rows)
 
 
 def trace_records(traces: list, domains: list) -> list:

@@ -116,15 +116,15 @@ class LayerBlockParams:
         return {f"{prefix}{n}": getattr(self, n) for n in names}
 
 
-def rmsnorm(x: Tensor, scale: Tensor, eps: float = RMSNORM_EPS) -> Tensor:
-    """scale * x / sqrt(mean(x^2) + eps) over the last axis.
+def rmsnorm(x: Tensor, scale: Tensor) -> Tensor:
+    """scale * x / sqrt(mean(x^2) + RMSNORM_EPS) over the last axis.
 
-    One tape node. With r = sqrt(mean(x^2) + eps) and x_hat = x / r, the
+    One tape node. With r = sqrt(mean(x^2) + RMSNORM_EPS) and x_hat = x / r, the
     backward pass is dx = (gs - x_hat * mean(gs * x_hat)) / r for gs = g * scale,
     and dscale = g * x_hat summed over the leading axes of x; scale is [d].
     """
     xd, sd = x.data, scale.data
-    rms = np.sqrt((xd * xd).sum(axis=-1, keepdims=True) * (1.0 / xd.shape[-1]) + eps)
+    rms = np.sqrt((xd * xd).sum(axis=-1, keepdims=True) * (1.0 / xd.shape[-1]) + RMSNORM_EPS)
     x_hat = xd / rms
 
     def bwd(g):

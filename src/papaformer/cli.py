@@ -205,9 +205,10 @@ def cmd_analyze(args) -> int:
     tracer = trace_dominance if kind == "share_linear" else trace_routing
     traces = [tracer(model, store.tokenizer.tokenize(text)) for _, text in prompts]
     domains = [domain for domain, _ in prompts]
+    report = utilization(traces, domains)  # raises on an unknown domain before anything is printed
     for rec in trace_records(traces, domains):
         print(f"prompt={rec['prompt']} domain={rec['domain']} layer={rec['layer']} selection={rec['selection']}")
-    print(format_utilization(utilization(traces, domains)))
+    print(format_utilization(report))
     return EXIT_OK
 
 

@@ -175,7 +175,7 @@ def gumbel_v1_forward(
     """Routing from the combined representation.
 
     x_comb = W_combine [f_1;...;f_k]; router logits come from x_comb.
-    ``forced_pi`` bypasses the gate entirely (testing/analysis hook). With
+    ``forced_pi`` replaces the gate's output; only tests pass it. With
     ``final=True`` the output is [f_1;...;f_k] and the mixture is skipped;
     pi is still computed and recorded.
     """

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _default_dtype = np.float32
+COSINE_EPS = 1e-12  # keeps cosine_similarity finite at a zero vector
 
 
 def set_default_dtype(dtype) -> None:
@@ -461,12 +462,12 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor(table.data[ids], _parents=(table,), _backward=bwd)
 
 
-def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
-    """a.b / (|a||b|) along the last axis."""
+def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
+    """a.b / (|a||b| + COSINE_EPS) along the last axis."""
     dot = (a * b).sum(axis=-1)
     na = (a * a).sum(axis=-1).sqrt()
     nb = (b * b).sum(axis=-1).sqrt()
-    return dot / (na * nb + eps)
+    return dot / (na * nb + COSINE_EPS)
 
 
 # -- seeded randomness ----------------------------------------------------
@@ -498,8 +499,8 @@ class RngState:
     def normal(self, shape=(), std: float = 1.0) -> np.ndarray:
         return (self._generator().standard_normal(size=shape) * std).astype(_default_dtype)
 
-    def integers(self, low: int, high: int, shape=()) -> np.ndarray:
-        return self._generator().integers(low, high, size=shape)
+    def integers(self, low: int, high: int) -> np.int64:
+        return self._generator().integers(low, high)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._generator().permutation(n)

@@ -335,7 +335,6 @@ def run_phase2(
     target_configs: dict,
     cfg: TrainConfig,
     out_dir: str,
-    build_seed: int = 0,
 ) -> tuple:
     """Pretrain paths on their corpora's 60% sub-collections, compose, train on the 40%.
 
@@ -355,7 +354,7 @@ def run_phase2(
         pc = ModelConfig.from_dict({**path_config.to_dict(), "n_layer_blocks": depth})
         for i in range(1, len(PATH_CORPORA) + 1):
             name = f"path{i}_d{depth}"
-            model = build(pc, RngState(build_seed))
+            model = build(pc, RngState(0))
             ckpt_path = os.path.join(out_dir, f"{name}.ppck")
             reports[name] = train(model, store.select(**ROLES[f"path{i}"]), cfg, checkpoint_path=ckpt_path)
             path_ckpts.setdefault(depth, []).append(ckpt_path)
@@ -363,7 +362,7 @@ def run_phase2(
     sub40 = store.select(**ROLES["composite"])
     for run_name, target in target_configs.items():
         plan = CompositionPlan(path_checkpoints=path_ckpts[target.n_parallel_layers], target_config=target)
-        composite = compose(plan, RngState(build_seed + 1))
+        composite = compose(plan, RngState(1))
         composed_path = os.path.join(out_dir, f"{run_name}_composed.ppck")
         save_checkpoint(composed_path, composite, provenance=composition_provenance(composite))
         artifacts[f"{run_name}_composed"] = composed_path

@@ -248,6 +248,13 @@ class TestUtilization:
             {"prompt": 0, "domain": "story", "layer": 1, "selection": "combined"},
         ]
 
+    def test_every_share_ends_in_one_column(self):
+        report = utilization([routing([0, 0, 0, 3], k=3)], ["story"])
+        lines = format_utilization(report).splitlines()
+        assert [line.split()[0] for line in lines] == ["path_1", "path_2", "path_3", "combined", "accuracy"]
+        assert {len(line) for line in lines} == {len(lines[0])}
+        assert all(line.endswith("%") for line in lines)
+
 
 class TestGenerate:
     def test_greedy_deterministic(self, gumbel_model):

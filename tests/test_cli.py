@@ -349,6 +349,14 @@ class TestCompose:
         assert rc == EXIT_DATA
         assert "empty prompt" in capsys.readouterr().err
 
+    def test_unknown_domain_exits_data_before_printing(self, workdir, composite_ckpt, capsys):
+        (workdir / "legal_prompt.tsv").write_text("story\tOnce upon a time\nlegal\t3 + 4 =\n")
+        rc = main(["analyze", "--checkpoint", composite_ckpt, "--data", str(workdir / "store.ppch"),
+                   "--prompts", str(workdir / "legal_prompt.tsv")])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (EXIT_DATA, "")
+        assert "unknown domain 'legal'" in err
+
     @pytest.mark.parametrize("flag,value", [("--top-n", "0"), ("--top-n", "-1"), ("--max-new-tokens", "-3")])
     def test_bad_generate_counts_exit_config(self, workdir, composite_ckpt, capsys, flag, value):
         rc = main(["generate", "--checkpoint", composite_ckpt, "--data", str(workdir / "store.ppch"),
